@@ -64,7 +64,6 @@ from repro.sim.fleet import (
     build_scenario,
     simulate_fleet,
 )
-from repro.sim.multi import simulate_shared
 from repro.sim.results import RunResult, improvement_pct, normalized_time
 from repro.sim.sweep import compare_schemes, sweep_config
 from repro.workloads.base import Access, Workload
@@ -91,7 +90,6 @@ __all__ = [
     "SCHEME_NAMES",
     "simulate",
     "simulate_native",
-    "simulate_shared",
     "simulate_fleet",
     "build_scenario",
     "TenantSpec",

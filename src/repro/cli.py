@@ -23,7 +23,7 @@ Thin, scriptable access to the library's main flows:
 * ``sweep`` — a one-parameter sweep (e.g. LOADLENGTH, Figure 7 style),
   with ``--progress`` ETA + fleet-health ticks on stderr;
 * ``lint`` — the repo-specific static-analysis pass: per-file rules
-  RL001–RL012, plus (with ``--deep``) the whole-program rules
+  RL001–RL010 and RL012, plus (with ``--deep``) the whole-program rules
   RL101–RL104 over a shared AST cache; ``--sarif`` exports SARIF
   2.1.0, ``--baseline`` absorbs known findings, ``--changed`` reports
   only files touched vs. a git ref (see :mod:`repro.lint`).
@@ -72,7 +72,7 @@ from repro.core.instrumentation import build_sip_plan
 from repro.core.schemes import SCHEME_NAMES
 from repro.errors import ConfigError, ReproError
 from repro.robust import ExecutionPolicy, RetryPolicy
-from repro.sim.engine import ENGINE_CHOICES, simulate
+from repro.sim.engine import simulate
 from repro.sim.fleet import EPC_POLICIES as FLEET_POLICIES
 from repro.sim.parallel import JobSpec, WorkloadSpec, run_jobs
 from repro.sim.sweep import compare_schemes, sweep_config
@@ -175,12 +175,6 @@ def build_parser() -> argparse.ArgumentParser:
                            parents=[sim_parent, exec_parent, obs_parent])
     add_common(p_run)
     p_run.add_argument("--scheme", choices=SCHEME_NAMES, default="baseline")
-    p_run.add_argument("--engine", choices=ENGINE_CHOICES, default="auto",
-                       help="hot-loop engine: 'batched' materializes the "
-                       "trace and retires resident runs in bulk, 'scalar' "
-                       "walks it per event, 'auto' picks batched whenever "
-                       "it applies; results are identical either way "
-                       "(default: %(default)s)")
     p_run.add_argument("--paging-profile", default=None, metavar="FILE",
                        dest="paging_profile",
                        help="attach the paging-decision profiler and write "
@@ -304,9 +298,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_lint = sub.add_parser(
         "lint",
-        help="repo-specific static analysis (RL001-RL012, deep RL101-RL104)",
+        help="repo-specific static analysis (RL001-RL010, RL012, deep RL101-RL104)",
         description=(
-            "Repo-specific static analysis.  Per-file rules RL001-RL012 "
+            "Repo-specific static analysis.  Per-file rules RL001-RL010 and RL012 "
             "run by default; --deep adds the whole-program rules "
             "RL101-RL104 (cross-module seed provenance, pickle-safety of "
             "values shipped to workers, wall-clock taint into manifests, "
@@ -474,12 +468,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             "cannot combine with --jobs/--retries/--timeout/--checkpoint "
             "— run serially to profile"
         )
-    if args.engine != "auto" and policy.is_resilient:
-        raise ConfigError(
-            "run: --engine pins the in-process hot loop and cannot "
-            "combine with --jobs/--retries/--timeout/--checkpoint — "
-            "workers pick their engine themselves; run serially to pin it"
-        )
     profiler = None
     paging_block = None
     telemetry = None
@@ -544,7 +532,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
             metrics=metrics,
             tracer=capture,
             profiler=profiler,
-            engine=args.engine,
         )
         if capture is not None:
             trace_events = tuple(capture.events)

@@ -394,58 +394,6 @@ class SgxDriver:
         self._last_now = now
         self._platform.poll(now)
 
-    def next_wakeup(self) -> int:
-        """The platform's event horizon (next scan or channel landing).
-
-        Strictly before this time no background machinery can run: a
-        resident page stays resident, its bits change only through
-        this driver's own touches, and no counters move.  The batched
-        engine uses this to retire whole runs of resident accesses
-        without per-event polling.
-        """
-        return self._platform.next_wakeup()
-
-    def retire_run(
-        self,
-        count: int,
-        preload_hits: int,
-        now: int,
-        sip_hits: int = 0,
-    ) -> None:
-        """Account a run of ``count`` resident touches ending at ``now``.
-
-        The bulk counterpart of the resident fast path in
-        :meth:`access`: every event in the run found its page resident
-        (one access, one EPC hit each) and ``preload_hits`` of them
-        were the first touch of a still-uncredited preloaded page.
-        ``sip_hits`` of them were additionally SIP-instrumented — the
-        engine already charged the ``BIT_MAP_CHECK`` cycles to the
-        clock and the sip_check time bucket; this books the matching
-        check/hit counters and bitmap read counts (the bitmap check of
-        a resident page succeeds by definition inside the horizon).
-        The engine has already set the accessed/preloaded bits and
-        advanced its compute bucket; this updates the counters and the
-        driver's clock bookkeeping in one step.  This is the reference
-        implementation of the retirement contract: the batched
-        engine's hot loop inlines the counter updates (and skips the
-        clock stamps — they only feed the monotonic-time guard and the
-        sanitizer, neither of which a bulk-retired run can trip), so
-        any drift between the two is a bug.  Retirement applies only
-        to unobserved runs — with a sanitizer, tracer, profiler or
-        metrics registry attached the engine keeps the scalar path so
-        per-event hooks keep firing.
-        """
-        stats = self.stats
-        stats.accesses += count
-        stats.epc_hits += count
-        stats.preload_hits += preload_hits
-        if sip_hits:
-            stats.sip_checks += sip_hits
-            stats.sip_check_hits += sip_hits
-            self.bitmap.reads += sip_hits
-        self._last_now = now
-        self._clock_hw = now
-
     def _filter_burst(self, burst: List[int]) -> List[int]:
         """Drop burst pages that need no load: outside the ELRANGE,
         already resident, in flight, or already queued.

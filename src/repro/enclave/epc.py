@@ -31,13 +31,9 @@ PAGE_PRELOADED  4      bit 2: preloaded and not yet credited
 so a clean resident page is ``1``, an accessed one ``3``, a pending
 preload ``5`` and an accessed pending preload ``7``.  The bit layout
 makes a page touch *idempotent* — ``code | PAGE_ACCESSED`` is correct
-whether or not the page was touched before — which is what makes the
-batched simulation engine fast: a whole window of trace pages is
-checked for residency with one C-level
-``bytes(map(table.__getitem__, window))`` sweep and a ``find``, and
-the run's accessed bits are retired with one C-level
-``map(table.__setitem__, window, flags.translate(...))`` scatter,
-with no Python-level work per event.
+whether or not the page was touched before — and lets the service
+thread's scan count preload credits and age every accessed bit with
+C-level ``count``/``translate`` passes over the whole table.
 
 :class:`EpcPageState` is a *view* over one page's status byte — reads
 and writes through its ``accessed``/``preloaded`` properties go
@@ -239,8 +235,8 @@ class Epc:
         non-resident page of the covered span, else one of the four
         resident codes.  The object is grown in place and never
         rebound, so hot paths may hold it (or a bound
-        ``__getitem__``) across residency changes.  Only the driver
-        and the simulation engines may write through it; everything
+        ``__getitem__``) across residency changes.  Only the driver,
+        the evictor and the platform scan write through it; everything
         else mutates bits via :class:`EpcPageState` views or the
         ``mark``/``clear`` helpers, which edit the same bytes.
         """
@@ -249,9 +245,8 @@ class Epc:
     def ensure_page_span(self, span: int) -> None:
         """Grow the status table to cover pages ``[0, span)``.
 
-        Called at enclave registration with the ELRANGE limit (and by
-        the batched engine with the trace's page bound) so that hot
-        paths can index the table without per-access bounds checks.
+        Called at enclave registration with the ELRANGE limit so that
+        hot paths can index the table without per-access bounds checks.
         """
         if span > len(self._status):
             self._status.extend(bytes(span - len(self._status)))

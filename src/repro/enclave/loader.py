@@ -129,23 +129,6 @@ class LoadChannel:
         self.advance_to(now)
         return self._current is None and not self._queue
 
-    def next_completion(self) -> Optional[int]:
-        """Finish time of the next background landing, or None if none.
-
-        This is the channel's contribution to the batched engine's
-        event horizon: strictly before this time the EPC cannot change
-        under the application's feet.  When the channel is idle but
-        preloads are queued (a burst was enqueued and no ``advance_to``
-        has promoted it yet), the first queued load will start at
-        ``_free_at`` — ``enqueue_preloads`` refreshed it against the
-        enqueue time — and land one load later.
-        """
-        if self._current is not None:
-            return self._current[2]
-        if self._queue:
-            return self._free_at + self._load_cycles
-        return None
-
     # ------------------------------------------------------------------
     # Background (preload) path
     # ------------------------------------------------------------------

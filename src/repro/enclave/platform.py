@@ -149,22 +149,7 @@ class SharedPlatform:
     # ------------------------------------------------------------------
 
     def next_wakeup(self) -> int:
-        """Earliest future time at which background state can change.
-
-        The minimum of the next service-thread scan deadline and the
-        next load-channel completion: strictly before this horizon a
-        ``poll`` is a no-op — no page can land, no victim can be
-        evicted, no accessed bit can be cleared, no valve can fire.
-        The batched engine retires whole runs of resident accesses
-        whose times fall strictly inside the horizon without polling.
-
-        The batched engine calls this once per retired run, so the
-        channel's :meth:`~repro.enclave.loader.LoadChannel.next_completion`
-        logic is inlined here (same expression over the same state) —
-        an idle channel, the overwhelmingly common case under schemes
-        without preloading, costs two attribute reads instead of a
-        second method call.
-        """
+        """Next scan or channel landing; kept because ``perfbench/layers.py`` wraps it."""
         horizon = self._next_scan
         channel = self.channel
         current = channel._current

@@ -1,4 +1,4 @@
-"""The repo-specific lint rules, RL001–RL012.
+"""The repo-specific lint rules, RL001–RL010 and RL012.
 
 Each rule mechanizes one invariant the reproduction depends on:
 
@@ -48,16 +48,6 @@ Each rule mechanizes one invariant the reproduction depends on:
   other library module would record paging decisions the simulation
   never made (or double-count ones it did), silently breaking the
   reconciliation identities ``validate_paging_profile`` enforces.
-* **RL011** — bulk RunStats retirement stays in the engine and the
-  driver.  Incrementing a run counter (``accesses``, ``epc_hits``,
-  ``preload_hits``, ``sip_checks``, ``sip_check_hits``) by anything
-  other than the literal ``1`` retires many simulated events in one
-  step — which is only sound under the batched engine's event-horizon
-  invariant (no background state transition strictly inside a retired
-  run).  Per-event ``+= 1`` bookkeeping is fine anywhere; a bulk
-  mutation in any other module silently bypasses the per-event hooks
-  and breaks the byte-identity contract between the scalar and
-  batched engines.
 * **RL012** — fleet time-series emission stays in the fleet event
   loop.  The ``series_*`` hooks of
   :class:`repro.obs.fleet_telemetry.FleetTelemetry` are fed
@@ -668,70 +658,6 @@ class StrayLedgerEmission(LintRule):
                 f"{func.attr}() outside the driver — paging-ledger "
                 "emission is confined to repro.enclave.driver so the "
                 "profile's totals reconcile with the run's RunStats",
-            )
-        self.generic_visit(node)
-
-
-#: RunStats counters the batched engine retires in bulk.  A ``+=``
-#: with any operand other than the literal ``1`` on one of these is a
-#: bulk retirement, sound only under the event-horizon invariant.
-_BULK_RUNSTATS_COUNTERS = {
-    "accesses",
-    "epc_hits",
-    "preload_hits",
-    "sip_checks",
-    "sip_check_hits",
-}
-
-
-@register_rule
-class StrayBulkRetirement(LintRule):
-    """RL011: bulk RunStats counter mutation outside engine/driver."""
-
-    code = "RL011"
-    name = "stray-bulk-retirement"
-    description = (
-        "run counter incremented by more than one event outside "
-        "repro.sim.engine / repro.enclave.driver — retiring many "
-        "simulated events in one counter bump is only sound under the "
-        "batched engine's event-horizon invariant; anywhere else it "
-        "bypasses the per-event hooks and breaks the scalar/batched "
-        "byte-identity contract"
-    )
-
-    @classmethod
-    def applies_to(cls, path: Path) -> bool:
-        # Only library code is policed; the two modules that own the
-        # horizon invariant — the batched engine and the driver whose
-        # retire_run it calls — are the sanctioned homes of bulk
-        # counter retirement.
-        parts = path.parts
-        if "repro" not in parts:
-            return False
-        if path.name == "driver.py" and len(parts) >= 2 and parts[-2] == "enclave":
-            return False
-        if path.name == "engine.py" and len(parts) >= 2 and parts[-2] == "sim":
-            return False
-        return True
-
-    def visit_AugAssign(self, node: ast.AugAssign) -> None:
-        target = node.target
-        if (
-            isinstance(node.op, ast.Add)
-            and isinstance(target, ast.Attribute)
-            and target.attr in _BULK_RUNSTATS_COUNTERS
-            and not (
-                isinstance(node.value, ast.Constant)
-                and type(node.value.value) is int
-                and node.value.value == 1
-            )
-        ):
-            self.report(
-                node,
-                f"bulk `{target.attr} +=` outside repro.sim.engine and "
-                "repro.enclave.driver — run counters may only be "
-                "retired in bulk under the batched engine's horizon "
-                "invariant; per-event code increments by 1",
             )
         self.generic_visit(node)
 

@@ -49,6 +49,7 @@ per-window sums reconcile exactly with the end-of-run aggregates.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -101,9 +102,12 @@ class SloSpec:
     min_residency_ratio: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.max_fault_wait_p99 is not None and self.max_fault_wait_p99 <= 0:
+        if self.max_fault_wait_p99 is not None and not (
+            math.isfinite(self.max_fault_wait_p99) and self.max_fault_wait_p99 > 0
+        ):
             raise ObsError(
-                f"max_fault_wait_p99 must be positive, got {self.max_fault_wait_p99}"
+                "max_fault_wait_p99 must be positive and finite, got "
+                f"{self.max_fault_wait_p99}"
             )
         if self.max_fault_rate is not None and not 0 < self.max_fault_rate <= 1:
             raise ObsError(

@@ -20,8 +20,7 @@ them survivable.  Four capabilities, all configured through one
   flakiness;
 * **the policy object** (:mod:`repro.robust.policy`) — the single
   execution-configuration path accepted by ``run_jobs``,
-  ``compare_schemes`` and ``sweep_config`` (legacy ``jobs=`` maps
-  onto it with a :class:`DeprecationWarning`).
+  ``compare_schemes`` and ``sweep_config``.
 
 This package is also the tree's one sanctioned home for real-time
 delays: lint rule RL008 bans bare ``time.sleep`` everywhere else, so
@@ -37,7 +36,7 @@ from repro.robust.faults import (
     perform_worker_fault,
     sleep,
 )
-from repro.robust.policy import ExecutionPolicy, resolve_policy
+from repro.robust.policy import ExecutionPolicy
 from repro.robust.retry import RetryPolicy
 
 __all__ = [
@@ -49,6 +48,5 @@ __all__ = [
     "InjectedWorkerCrash",
     "RetryPolicy",
     "perform_worker_fault",
-    "resolve_policy",
     "sleep",
 ]

@@ -8,9 +8,7 @@ one frozen :class:`ExecutionPolicy` accepted as ``policy=`` by
 :func:`repro.sim.sweep.compare_schemes` and
 :func:`repro.sim.sweep.sweep_config` (and built by the CLI's shared
 ``--jobs/--retries/--timeout/--checkpoint/--resume/--progress``
-flags).  The legacy ``jobs=`` kwarg still works but emits a
-:class:`DeprecationWarning` and maps onto a policy via
-:func:`resolve_policy`.
+flags).
 
 The default policy is the pre-policy behaviour exactly: serial, one
 attempt, no timeout, no checkpointing, no faults — so ``policy=None``
@@ -20,7 +18,6 @@ faults injected stays byte-identical to a serial run.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Optional, Union
@@ -29,7 +26,7 @@ from repro.errors import ConfigError
 from repro.robust.faults import FaultPlan
 from repro.robust.retry import RetryPolicy
 
-__all__ = ["ExecutionPolicy", "resolve_policy"]
+__all__ = ["ExecutionPolicy"]
 
 
 @dataclass(frozen=True)
@@ -124,31 +121,3 @@ class ExecutionPolicy:
 
         return dataclasses.replace(self, progress=progress)
 
-
-def resolve_policy(
-    policy: Optional[ExecutionPolicy] = None,
-    jobs: Optional[int] = None,
-    *,
-    caller: str = "run_jobs",
-) -> ExecutionPolicy:
-    """Normalize the ``policy=`` / legacy ``jobs=`` pair to one policy.
-
-    ``jobs=`` is the PR-3 spelling: still honoured, but it warns and
-    maps onto ``ExecutionPolicy(jobs=...)``.  Passing both is an error
-    — two sources of truth for the worker count is how sweeps end up
-    running a different experiment than the one reported.
-    """
-    if jobs is not None:
-        if policy is not None:
-            raise ConfigError(
-                f"{caller}: pass either policy= or the deprecated jobs=, "
-                "not both"
-            )
-        warnings.warn(
-            f"{caller}(jobs=...) is deprecated; pass "
-            "policy=ExecutionPolicy(jobs=...) instead",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        return ExecutionPolicy(jobs=jobs)
-    return policy if policy is not None else ExecutionPolicy()

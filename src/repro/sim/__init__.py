@@ -5,8 +5,6 @@
 * :mod:`repro.sim.fleet` — fleet-scale multi-tenant EPC simulation:
   typed :class:`TenantSpec`/:class:`FleetScenario` specs, admission
   control, churn, open-loop requests, pluggable EPC frame policies.
-* :mod:`repro.sim.multi` — the deprecated ``simulate_shared`` shim
-  over the fleet API.
 * :mod:`repro.sim.results` — run results and comparisons.
 * :mod:`repro.sim.sweep` — parameter sweeps and scheme comparisons,
   the building blocks of every figure in the evaluation.
@@ -28,7 +26,6 @@ from repro.sim.fleet import (
     build_scenario,
     simulate_fleet,
 )
-from repro.sim.multi import simulate_shared
 from repro.sim.parallel import JobSpec, WorkloadSpec, run_jobs
 from repro.sim.results import RunResult, improvement_pct, normalized_time
 from repro.sim.sweep import compare_schemes, sweep_config
@@ -37,7 +34,6 @@ from repro.sim.tracecache import TraceCache, shared_trace_cache
 __all__ = [
     "simulate",
     "simulate_native",
-    "simulate_shared",
     "simulate_fleet",
     "build_scenario",
     "TenantSpec",

@@ -399,7 +399,7 @@ def simulate_fleet(
     tenant)``: arrivals admit tenants (or queue them behind the
     admission cap), departures hand their slot to the queue head, and
     trace events run the admitted tenants' accesses against the shared
-    platform exactly as :mod:`repro.sim.multi` always has.
+    platform.
 
     ``telemetry`` attaches a :class:`~repro.obs.fleet_telemetry.
     FleetTelemetry` sampler.  This function is the *sole sanctioned

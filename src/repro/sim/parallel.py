@@ -93,7 +93,6 @@ from repro.robust import (
     FaultPlan,
     checkpoint_key,
     perform_worker_fault,
-    resolve_policy,
 )
 from repro.sim.results import RunResult
 from repro.workloads.base import Workload
@@ -879,7 +878,6 @@ def run_jobs(
     specs: Sequence[JobSpec],
     *,
     policy: Optional[ExecutionPolicy] = None,
-    jobs: Optional[int] = None,
     on_result: Optional[Callable[[int, JobSpec], None]] = None,
     telemetry: Optional[ExecTelemetry] = None,
 ) -> List[RunResult]:
@@ -890,9 +888,7 @@ def run_jobs(
     per-job timeout, checkpoint/resume, and fault injection.  The
     default policy runs everything serially in-process with no pool at
     all, which is both the fallback and the reference the determinism
-    suite compares against.  ``jobs=`` is the deprecated PR-3 spelling
-    and maps onto ``ExecutionPolicy(jobs=...)`` with a
-    :class:`DeprecationWarning`.
+    suite compares against.
 
     ``telemetry`` (an :class:`~repro.obs.exec_telemetry.ExecTelemetry`)
     turns the run into an observed one: the runner narrates execution
@@ -915,5 +911,5 @@ def run_jobs(
     with a poisoned point has no meaningful partial answer, though
     with checkpointing on, their records survive for a resume).
     """
-    policy = resolve_policy(policy, jobs, caller="run_jobs")
+    policy = policy if policy is not None else ExecutionPolicy()
     return _JobRunner(list(specs), policy, on_result, telemetry).run()

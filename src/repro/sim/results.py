@@ -39,10 +39,7 @@ class RunResult:
     #: populated only when the run was observed.  Excluded from
     #: comparison: observing a run must not change its identity.
     metrics: Optional[Dict[str, object]] = field(default=None, compare=False)
-    #: Which engine executed the run (``"scalar"`` or ``"batched"``).
-    #: Excluded from comparison and from manifests: the batched engine
-    #: is byte-identical to the scalar one by contract, so the engine
-    #: choice is provenance, not part of the run's identity.
+    #: Always ``"scalar"``; kept because ``perfbench/layers.py`` counts batched runs.
     engine: str = field(default="scalar", compare=False)
 
     @property

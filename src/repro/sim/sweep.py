@@ -10,10 +10,9 @@ Both drivers take ``policy=`` — an
 simulations through :func:`repro.sim.parallel.run_jobs` whenever the
 policy asks for anything beyond plain serial execution: worker
 processes, retries, per-job timeouts, checkpoint/resume, or fault
-injection.  The default policy is the serial in-process path, and the
-legacy ``jobs=`` kwarg still works behind a
-:class:`DeprecationWarning`.  Two caches keep the hot path from
-repeating work the determinism contract makes repeatable:
+injection.  The default policy is the serial in-process path.  Two
+caches keep the hot path from repeating work the determinism contract
+makes repeatable:
 
 * traces are materialized once per ``(workload, seed, input_set)`` and
   replayed for every scheme (:mod:`repro.sim.tracecache`);
@@ -36,7 +35,7 @@ from repro.core.instrumentation import SipPlan, build_sip_plan
 from repro.core.profiler import WorkloadProfile, profile_workload
 from repro.errors import ConfigError
 from repro.obs.exec_telemetry import ExecTelemetry
-from repro.robust import ExecutionPolicy, resolve_policy
+from repro.robust import ExecutionPolicy
 from repro.sim.engine import simulate
 from repro.sim.parallel import JobSpec, WorkloadSpec, run_jobs
 from repro.sim.results import RunResult
@@ -243,7 +242,6 @@ def compare_schemes(
     input_set: str = "ref",
     sip_plan: Optional[SipPlan] = None,
     policy: Optional[ExecutionPolicy] = None,
-    jobs: Optional[int] = None,
     telemetry: Optional[ExecTelemetry] = None,
 ) -> Dict[str, RunResult]:
     """Run the workload under each scheme; return results by name.
@@ -260,7 +258,7 @@ def compare_schemes(
     checkpointing, fault injection — the schemes route through the
     resilient job runner (``workload`` must then be a
     :class:`~repro.sim.parallel.WorkloadSpec`); results are identical
-    to the serial path.  ``jobs=`` is the deprecated PR-3 spelling.
+    to the serial path.
 
     ``telemetry`` (an :class:`~repro.obs.exec_telemetry.ExecTelemetry`)
     makes the comparison an observed one: execution routes through the
@@ -269,7 +267,7 @@ def compare_schemes(
     enables it — each scheme's run ships its metric/trace dumps back
     for deterministic merging.  Results are unchanged (passivity).
     """
-    resolved = resolve_policy(policy, jobs, caller="compare_schemes")
+    resolved = policy if policy is not None else ExecutionPolicy()
     if resolved.is_resilient or telemetry is not None:
         spec = _require_spec(workload, "compare_schemes")
         if _needs_sip(schemes) and sip_plan is None:
@@ -317,7 +315,6 @@ def sweep_config(
     input_set: str = "ref",
     progress: Optional[Callable[[SweepProgress], None]] = None,
     policy: Optional[ExecutionPolicy] = None,
-    jobs: Optional[int] = None,
     telemetry: Optional[ExecTelemetry] = None,
 ) -> List[SweepPoint]:
     """Run a scheme comparison at each configuration.
@@ -336,8 +333,7 @@ def sweep_config(
     ``policy`` (:class:`~repro.robust.ExecutionPolicy`) configures
     execution: worker count, retry/timeout, checkpoint/resume (each
     completed run is persisted and skipped on a ``resume=True``
-    restart), and fault injection.  ``jobs=`` is the deprecated PR-3
-    spelling.
+    restart), and fault injection.
 
     ``progress`` is called after each completed point with a
     :class:`SweepProgress` tick (sweeps are the slow path — minutes at
@@ -355,7 +351,7 @@ def sweep_config(
     execution spans, tallies, and (when its config enables it) each
     job's shipped metric/trace dumps.  Results are unchanged.
     """
-    resolved = resolve_policy(policy, jobs, caller="sweep_config")
+    resolved = policy if policy is not None else ExecutionPolicy()
     report = progress if progress is not None else resolved.progress
     config_list = list(configs)
     if values is None:

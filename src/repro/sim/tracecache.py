@@ -24,9 +24,7 @@ from __future__ import annotations
 from array import array
 from collections import OrderedDict
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import accumulate
-from typing import Iterable, Iterator, Optional, Tuple
+from typing import Iterator, Optional, Tuple
 
 from repro.errors import ConfigError
 from repro.units import MIB
@@ -38,7 +36,6 @@ __all__ = [
     "TraceCache",
     "DEFAULT_TRACE_CACHE_BYTES",
     "materialize",
-    "materialize_events",
     "trace_key",
     "shared_trace_cache",
 ]
@@ -80,52 +77,21 @@ class MaterializedTrace:
             for column in (self.instructions, self.pages, self.cycles)
         )
 
-    @cached_property
-    def cumulative_cycles(self) -> array:
-        """Prefix sums of the compute column: ``cum[k] = Σ cycles[0..k]``.
 
-        The batched engine bisects this column to find how far the
-        clock can advance before the next event horizon (scan deadline
-        or channel completion).  Computed once per trace on first use
-        and cached on the instance; like the data columns it is
-        immutable by contract.
-        """
-        return array("q", accumulate(self.cycles))
-
-    @cached_property
-    def page_span(self) -> Tuple[int, int]:
-        """``(min, max)`` of the page column (``(0, -1)`` when empty).
-
-        The batched engine sizes the EPC's status table from the upper
-        bound and falls back to the scalar path when the lower bound
-        is negative (a page number no byte table can index).
-        """
-        if not self.pages:
-            return (0, -1)
-        return (min(self.pages), max(self.pages))
-
-
-def materialize_events(
-    events: Iterable[TraceEvent], key: CacheKey
-) -> MaterializedTrace:
-    """Materialize an already-open event stream into compact columns."""
+def materialize(workload: Workload, *, seed: int, input_set: str) -> MaterializedTrace:
+    """Walk one trace generator to completion into compact columns."""
     instructions = array("q")
     pages = array("q")
     cycles = array("q")
-    for instr, page, compute in events:
+    for instr, page, compute in workload.trace(seed=seed, input_set=input_set):
         instructions.append(instr)
         pages.append(page)
         cycles.append(compute)
     return MaterializedTrace(
-        key=key, instructions=instructions, pages=pages, cycles=cycles
-    )
-
-
-def materialize(workload: Workload, *, seed: int, input_set: str) -> MaterializedTrace:
-    """Walk one trace generator to completion into compact columns."""
-    return materialize_events(
-        workload.trace(seed=seed, input_set=input_set),
-        trace_key(workload, seed, input_set),
+        key=trace_key(workload, seed, input_set),
+        instructions=instructions,
+        pages=pages,
+        cycles=cycles,
     )
 
 

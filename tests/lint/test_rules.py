@@ -217,40 +217,6 @@ class TestRL010StrayLedgerEmission:
         assert lint_file(mod, select=["RL010"]) == []
 
 
-class TestRL011StrayBulkRetirement:
-    def test_fires_on_each_bulk_increment(self):
-        found = findings_for("repro/rl011_violation.py", "RL011")
-        # accesses += count, epc_hits += count, preload_hits += hits
-        assert len(found) == 3
-        messages = " | ".join(f.message for f in found)
-        assert "repro.sim.engine" in messages
-        assert "horizon" in messages
-
-    def test_silent_under_pragma_and_on_per_event_increments(self):
-        assert findings_for("repro/rl011_suppressed.py", "RL011") == []
-
-    @pytest.mark.parametrize(
-        "relpath", ["repro/sim/engine.py", "repro/enclave/driver.py"]
-    )
-    def test_sanctioned_modules_are_exempt(self, tmp_path, relpath):
-        mod = tmp_path / relpath
-        mod.parent.mkdir(parents=True, exist_ok=True)
-        mod.write_text("__all__ = []\nstats.accesses += count\n")
-        assert lint_file(mod, select=["RL011"]) == []
-
-    def test_other_library_modules_are_in_scope(self, tmp_path):
-        mod = tmp_path / "repro" / "sim" / "sweep.py"
-        mod.parent.mkdir(parents=True)
-        mod.write_text("__all__ = []\nstats.epc_hits += run_length\n")
-        assert len(lint_file(mod, select=["RL011"])) == 1
-
-    def test_code_outside_the_package_is_exempt(self, tmp_path):
-        mod = tmp_path / "tools" / "poke.py"
-        mod.parent.mkdir()
-        mod.write_text("stats.accesses += 12\n")
-        assert lint_file(mod, select=["RL011"]) == []
-
-
 class TestRL012StraySeriesEmission:
     def test_fires_on_each_series_call(self):
         found = findings_for("repro/rl012_violation.py", "RL012")
@@ -288,7 +254,7 @@ class TestRL012StraySeriesEmission:
     "code",
     [
         "RL001", "RL002", "RL003", "RL004", "RL005", "RL006", "RL007",
-        "RL008", "RL009", "RL010", "RL011", "RL012",
+        "RL008", "RL009", "RL010", "RL012",
     ],
 )
 def test_clean_fixture_is_silent_under_every_rule(code):

@@ -103,7 +103,7 @@ class TestOutput:
         assert codes == sorted(RULES)
         assert codes == [
             "RL001", "RL002", "RL003", "RL004", "RL005", "RL006", "RL007",
-            "RL008", "RL009", "RL010", "RL011", "RL012",
+            "RL008", "RL009", "RL010", "RL012",
         ]
 
     def test_deep_rule_catalog_lists_the_rl100_series(self):

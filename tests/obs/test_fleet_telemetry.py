@@ -262,7 +262,16 @@ class TestSloSpec:
         assert spec.max_fault_rate == 0.1
 
     @pytest.mark.parametrize(
-        "text", ["", "bogus=1", "fault_rate=2.0", "residency=0", "wait_p99=-5"]
+        "text",
+        [
+            "",
+            "bogus=1",
+            "fault_rate=2.0",
+            "residency=0",
+            "wait_p99=-5",
+            "wait_p99=nan",
+            "wait_p99=inf",
+        ],
     )
     def test_parse_rejects_bad_specs(self, text):
         with pytest.raises(ObsError):

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import ConfigError
-from repro.robust import ExecutionPolicy, FaultPlan, RetryPolicy, resolve_policy
+from repro.robust import ExecutionPolicy, FaultPlan, RetryPolicy
 
 
 class TestRetryPolicy:
@@ -80,21 +80,3 @@ class TestExecutionPolicy:
         # progress is excluded from equality: observation is not
         # part of the experiment's identity.
         assert carrying == policy
-
-
-class TestResolvePolicy:
-    def test_default_is_the_default_policy(self):
-        assert resolve_policy() == ExecutionPolicy()
-
-    def test_policy_passes_through(self):
-        policy = ExecutionPolicy(jobs=2)
-        assert resolve_policy(policy) is policy
-
-    def test_legacy_jobs_warns_and_maps(self):
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            resolved = resolve_policy(jobs=3, caller="compare_schemes")
-        assert resolved == ExecutionPolicy(jobs=3)
-
-    def test_both_spellings_rejected(self):
-        with pytest.raises(ConfigError, match="not both"):
-            resolve_policy(ExecutionPolicy(), jobs=2)

@@ -3,7 +3,9 @@
 import pytest
 
 from repro.core.config import SimConfig
+from repro.errors import ConfigError, SimulationError
 from repro.sim.engine import prepare_sip_plan, simulate, simulate_native
+from repro.sim.tracecache import materialize
 from repro.workloads.base import SyntheticWorkload
 from repro.workloads.synthetic import sequential, uniform_random
 
@@ -98,6 +100,25 @@ class TestSchemes:
         result = simulate(wl, config, record_events=True)
         assert result.events
         assert simulate(wl, config).events is None
+
+
+class TestScalarLoop:
+    @pytest.mark.parametrize("materialized", [False, True], ids=["generator", "materialized"])
+    def test_negative_page_is_outside_elrange(self, config, materialized):
+        workload = ScriptedWorkload([(0, 2, 100), (0, -5, 100)])
+        trace = materialize(workload, seed=0, input_set="ref") if materialized else None
+        with pytest.raises(SimulationError, match="outside ELRANGE"):
+            simulate(workload, config, trace=trace)
+
+    def test_every_run_reports_the_scalar_engine(self, config, seq_workload):
+        trace = materialize(seq_workload, seed=0, input_set="ref")
+        assert simulate(seq_workload, config, trace=trace).engine == "scalar"
+        assert simulate(seq_workload, config, engine="scalar").engine == "scalar"
+
+    @pytest.mark.parametrize("engine", ["auto", "batched", "vectorized"])
+    def test_unknown_engine_rejected(self, config, seq_workload, engine):
+        with pytest.raises(ConfigError, match="unknown engine"):
+            simulate(seq_workload, config, engine=engine)
 
 
 class TestDeterminism:

@@ -407,3 +407,52 @@ class TestPolicies:
         names = {b["scenario"]["name"] for b in blocks}
         assert names == {"smoke"}
         assert [b["scenario"]["policy"] for b in blocks] == list(EPC_POLICIES)
+
+
+class TestSharedPlatform:
+    """Multi-enclave runs lean on ``SharedPlatform.owner_of`` for every
+    eviction attribution; cross-enclave pressure must keep them exact."""
+
+    def _workloads(self):
+        return [
+            SyntheticWorkload(
+                "a", 96, {0: "s"}, [sequential(0, 0, 96, compute=4_000, passes=2)]
+            ),
+            scatter("b", pages=128, count=600, compute=5_000),
+            SyntheticWorkload(
+                "c", 64, {0: "s"}, [sequential(0, 0, 64, compute=3_000, passes=3)]
+            ),
+        ]
+
+    def _run(self, schemes):
+        config = small_config(
+            epc_pages=96,
+            stream_list_length=12,
+            load_length=4,
+            scan_period_cycles=400_000,
+            valve_slack=32,
+        )
+        scenario = FleetScenario(
+            name="shared-platform",
+            tenants=tuple(
+                TenantSpec(workload=w, scheme=s)
+                for w, s in zip(self._workloads(), schemes)
+            ),
+            config=config,
+        )
+        return simulate_fleet(scenario).results
+
+    def test_shared_run_is_deterministic(self):
+        first = self._run(["dfp", "baseline", "dfp-stop"])
+        second = self._run(["dfp", "baseline", "dfp-stop"])
+        assert [r.total_cycles for r in first] == [r.total_cycles for r in second]
+        assert [r.stats.as_dict() for r in first] == [
+            r.stats.as_dict() for r in second
+        ]
+
+    def test_cross_enclave_pressure_keeps_invariants(self):
+        results = self._run(["dfp", "dfp", "dfp"])
+        assert sum(r.stats.evictions for r in results) > 0
+        for result in results:
+            assert result.stats.epc_hits + result.stats.faults == result.stats.accesses
+            assert result.stats.time.total == result.total_cycles

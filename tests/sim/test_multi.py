@@ -1,18 +1,15 @@
 """Multi-enclave simulation tests (Section 5.6 contention).
 
 The shared-EPC runs are expressed through the typed fleet API
-(:class:`TenantSpec` / :class:`FleetScenario`); the deprecated
-``simulate_shared`` shim keeps the old signature and is covered by
-:class:`TestLegacyShim`.
+(:class:`TenantSpec` / :class:`FleetScenario`).
 """
 
 import pytest
 
 from repro.core.config import SimConfig
-from repro.errors import ConfigError, SimulationError
+from repro.errors import ConfigError
 from repro.sim.engine import simulate
 from repro.sim.fleet import FleetScenario, TenantSpec, simulate_fleet
-from repro.sim.multi import simulate_shared
 from repro.workloads.base import SyntheticWorkload
 from repro.workloads.synthetic import sequential, uniform_random
 
@@ -166,25 +163,3 @@ class TestContention:
         # The pure stream gets no instrumentation; the scatter does.
         assert results[0].sip_points == 0
         assert results[1].sip_points > 0
-
-
-class TestLegacyShim:
-    """``simulate_shared`` still works, warns, and matches the fleet."""
-
-    def test_warns_and_matches_typed_api(self, config):
-        workloads = [seq_workload(), rand_workload()]
-        schemes = ["dfp-stop", "baseline"]
-        with pytest.deprecated_call():
-            legacy = simulate_shared(workloads, config, schemes)
-        typed = run_shared(workloads, config, schemes)
-        for old, new in zip(legacy, typed):
-            assert old.stats.as_dict() == new.stats.as_dict()
-            assert old == new
-
-    def test_legacy_validation_preserved(self, config):
-        with pytest.deprecated_call():
-            with pytest.raises(SimulationError):
-                simulate_shared([], config, [])
-        with pytest.deprecated_call():
-            with pytest.raises(SimulationError):
-                simulate_shared([seq_workload()], config, ["baseline", "dfp"])

@@ -112,38 +112,6 @@ class TestRunJobs:
         assert "no-such-workload" in excinfo.value.job
         assert excinfo.value.attempts == 1
 
-    def test_zero_jobs_rejected(self):
-        with pytest.raises(ConfigError), pytest.warns(DeprecationWarning):
-            run_jobs([], jobs=0)
-
-
-class TestLegacyJobsKwarg:
-    """The PR-3 ``jobs=`` spelling: still honoured, but deprecated."""
-
-    def test_run_jobs_jobs_kwarg_warns_and_still_works(self):
-        config = SimConfig.scaled(64)
-        specs = [JobSpec(workload=SPEC, config=config, scheme="baseline")]
-        with pytest.warns(DeprecationWarning, match="policy=ExecutionPolicy"):
-            results = run_jobs(specs, jobs=2)
-        assert results == [run_job(specs[0])]
-
-    def test_compare_schemes_jobs_kwarg_warns(self):
-        config = SimConfig.scaled(64)
-        with pytest.warns(DeprecationWarning, match="compare_schemes"):
-            results = compare_schemes(SPEC, config, list(SCHEMES), jobs=2)
-        assert set(results) == set(SCHEMES)
-
-    def test_sweep_config_jobs_kwarg_warns(self):
-        with pytest.warns(DeprecationWarning, match="sweep_config"):
-            points = sweep_config(
-                SPEC, sweep_configs()[:2], SCHEMES, values=[1, 2], jobs=2
-            )
-        assert len(points) == 2
-
-    def test_policy_and_jobs_together_rejected(self):
-        with pytest.raises(ConfigError, match="not both"):
-            run_jobs([], policy=ExecutionPolicy(), jobs=2)
-
 
 class TestSweepDeterminism:
     def test_parallel_sweep_manifests_byte_identical_to_serial(self):

@@ -31,25 +31,6 @@ class TestRun:
         with pytest.raises(SystemExit):
             main(["run", "doom", *SCALE])
 
-    def test_run_engine_batched(self, capsys):
-        assert main(["run", "leela", "--engine", "batched", *SCALE]) == 0
-        out = capsys.readouterr().out
-        assert "time breakdown" in out
-
-    def test_run_engine_batched_rejects_observation(self, capsys):
-        assert main(
-            ["run", "leela", "--engine", "batched", "--metrics", *SCALE]
-        ) == 2
-        err = capsys.readouterr().err
-        assert "observed simulation" in err
-
-    def test_run_engine_rejects_resilience(self, capsys):
-        assert main(
-            ["run", "leela", "--engine", "scalar", "--jobs", "2", *SCALE]
-        ) == 2
-        err = capsys.readouterr().err
-        assert "--engine" in err
-
 
 class TestCompare:
     def test_compare_normalizes_to_baseline(self, capsys):

@@ -1,4 +1,4 @@
-"""perf_bench headline selection: the faster leg wins, both legs ship."""
+"""perf_bench's --compare gate: a regressed engine figure is flagged."""
 
 import sys
 from pathlib import Path
@@ -10,49 +10,10 @@ if str(TOOLS) not in sys.path:
 import perf_bench  # noqa: E402
 
 
-def legs(scalar_rps, batched_rps):
-    return {
-        "scalar": {"runs_per_sec": scalar_rps},
-        "batched": {"runs_per_sec": batched_rps},
-    }
-
-
-class TestPickHeadline:
-    def test_batched_wins_when_faster(self):
-        assert perf_bench.pick_headline(legs(5.0, 6.0)) == "batched"
-
-    def test_scalar_wins_when_batched_regresses(self):
-        """The fix: a batched_speedup below 1 must not headline the
-        batched leg — --compare would gate the wrong engine."""
-        assert perf_bench.pick_headline(legs(8.5, 8.0)) == "scalar"
-
-    def test_tie_goes_to_batched(self):
-        # engine="auto" runs the batched engine, so it wins ties.
-        assert perf_bench.pick_headline(legs(5.0, 5.0)) == "batched"
-
-
 class TestCompareReports:
-    def test_headline_rows_gate_the_faster_leg(self):
-        old = {
-            "engine": {
-                "dfp": {
-                    "runs_per_sec": 5.4,
-                    "scalar": {"runs_per_sec": 5.4},
-                    "batched": {"runs_per_sec": 5.2},
-                    "batched_speedup": 0.96,
-                }
-            }
-        }
-        new = {
-            "engine": {
-                "dfp": {
-                    "runs_per_sec": 2.0,  # regressed headline
-                    "scalar": {"runs_per_sec": 2.0},
-                    "batched": {"runs_per_sec": 1.9},
-                    "batched_speedup": 0.95,
-                }
-            }
-        }
+    def test_engine_row_regression_is_flagged(self):
+        old = {"engine": {"dfp": {"runs_per_sec": 5.4}, "sip": {"runs_per_sec": 4.0}}}
+        new = {"engine": {"dfp": {"runs_per_sec": 2.0}, "sip": {"runs_per_sec": 3.9}}}
         rows = perf_bench.compare_reports(old, new, tolerance=0.5)
         regressed = {label for label, _, _, flag in rows if flag}
-        assert "engine.dfp.runs_per_sec" in regressed
+        assert regressed == {"engine.dfp.runs_per_sec"}

@@ -6,16 +6,8 @@ future PR has a perf trajectory to compare against:
 
 * ``engine`` — steady-state :func:`repro.sim.engine.simulate`
   throughput per scheme (runs/sec and accesses/sec) over a warm
-  materialized trace, measured through *both* hot-loop engines: the
-  per-event scalar walk and the batched event-horizon engine.  The
-  harness asserts the two results equal per scheme, reports both
-  legs plus the batched speedup, and publishes the *faster* leg as
-  the scheme's headline numbers (``headline_engine`` names it) — on
-  some hosts the batched engine loses to the scalar walk for a
-  scheme, and headlining the loser would let ``--compare`` gate
-  against a figure nobody should ship.  With ``--profile-out PATH``
-  it additionally cProfiles the batched hot loop and dumps the
-  pstats data as a CI artifact.
+  materialized trace.  With ``--profile-out PATH`` it additionally
+  cProfiles the hot loop and dumps the pstats data as a CI artifact.
 * ``trace_cache`` — one simulate comparison run twice, with the trace
   regenerated per run (pre-PR behaviour) and replayed from one
   materialized copy; reports both runs/sec figures and the gain.
@@ -82,29 +74,8 @@ SWEEP_SCHEMES = ("dfp-stop", "sip")
 ENGINE_SCHEMES = ("baseline", "dfp", "dfp-stop", "sip", "hybrid")
 
 
-def pick_headline(legs: dict) -> str:
-    """Name of the faster engine leg by runs/sec.
-
-    Ties go to ``batched`` — that is what ``engine="auto"`` runs, so
-    it wins when the measurement cannot separate the two.
-    """
-    if legs["batched"]["runs_per_sec"] >= legs["scalar"]["runs_per_sec"]:
-        return "batched"
-    return "scalar"
-
-
 def measure_engine(scale: int, repeats: int) -> dict:
-    """Steady-state simulate() throughput per scheme, warm trace.
-
-    Each scheme is timed through both hot-loop engines over the same
-    materialized trace — ``engine="scalar"`` and ``engine="batched"``
-    — and the two results are asserted equal (the batched engine's
-    byte-identity contract) before either figure is reported.  The
-    scheme's headline ``runs_per_sec``/``accesses_per_sec`` come from
-    whichever leg measured faster, recorded as ``headline_engine`` —
-    both legs always ship, so ``--compare`` gates the best figure
-    while the per-leg rows keep the slower path from rotting.
-    """
+    """Steady-state simulate() throughput per scheme, warm trace."""
     config = SimConfig.scaled(scale)
     workload = WorkloadSpec(HOT_WORKLOAD, scale).build()
     trace = shared_trace_cache().get(workload, seed=0, input_set="ref")
@@ -112,55 +83,27 @@ def measure_engine(scale: int, repeats: int) -> dict:
     out = {}
     for scheme in ENGINE_SCHEMES:
         sip_plan = plan if scheme in SIP_SCHEMES else None
-        legs = {}
-        results = {}
-        for engine in ("scalar", "batched"):
-            simulate(
-                workload, config, scheme, seed=0, sip_plan=sip_plan,
-                trace=trace, engine=engine,
+        simulate(workload, config, scheme, seed=0, sip_plan=sip_plan, trace=trace)
+        t0 = time.perf_counter()
+        for _ in range(repeats):
+            result = simulate(
+                workload, config, scheme, seed=0, sip_plan=sip_plan, trace=trace
             )
-            t0 = time.perf_counter()
-            for _ in range(repeats):
-                result = simulate(
-                    workload, config, scheme, seed=0, sip_plan=sip_plan,
-                    trace=trace, engine=engine,
-                )
-            elapsed = time.perf_counter() - t0
-            results[engine] = result
-            legs[engine] = {
-                "seconds": round(elapsed, 4),
-                "runs_per_sec": round(repeats / elapsed, 3),
-                "accesses_per_sec": round(
-                    repeats * result.stats.accesses / elapsed
-                ),
-            }
-        assert results["batched"] == results["scalar"], (
-            f"batched engine diverged from scalar on scheme {scheme!r}"
-        )
-        headline = pick_headline(legs)
+        elapsed = time.perf_counter() - t0
         out[scheme] = {
             "runs": repeats,
-            "seconds": legs[headline]["seconds"],
-            "runs_per_sec": legs[headline]["runs_per_sec"],
-            "accesses_per_sec": legs[headline]["accesses_per_sec"],
-            "headline_engine": headline,
-            "scalar": legs["scalar"],
-            "batched": legs["batched"],
-            "batched_speedup": round(
-                legs["batched"]["runs_per_sec"] / legs["scalar"]["runs_per_sec"],
-                3,
-            ),
-            "results_equal": True,
+            "seconds": round(elapsed, 4),
+            "runs_per_sec": round(repeats / elapsed, 3),
+            "accesses_per_sec": round(repeats * result.stats.accesses / elapsed),
         }
     return out
 
 
 def dump_engine_profile(path: str, scale: int, repeats: int) -> None:
-    """cProfile the batched hot loop; dump pstats data to ``path``.
+    """cProfile the hot loop; dump pstats data to ``path``.
 
-    The artifact answers "where do the remaining cycles go" after the
-    bulk path: load it with ``pstats.Stats(path)`` (or snakeviz) and
-    sort by cumulative time.
+    The artifact answers "where do the cycles go": load it with
+    ``pstats.Stats(path)`` (or snakeviz) and sort by cumulative time.
     """
     import cProfile
     import pstats
@@ -168,18 +111,16 @@ def dump_engine_profile(path: str, scale: int, repeats: int) -> None:
     config = SimConfig.scaled(scale)
     workload = WorkloadSpec(HOT_WORKLOAD, scale).build()
     trace = shared_trace_cache().get(workload, seed=0, input_set="ref")
-    simulate(workload, config, "dfp-stop", seed=0, trace=trace, engine="batched")
+    simulate(workload, config, "dfp-stop", seed=0, trace=trace)
     profiler = cProfile.Profile()
     profiler.enable()
     for _ in range(repeats):
-        simulate(
-            workload, config, "dfp-stop", seed=0, trace=trace, engine="batched"
-        )
+        simulate(workload, config, "dfp-stop", seed=0, trace=trace)
     profiler.disable()
     profiler.dump_stats(path)
     top = pstats.Stats(profiler)
     top.sort_stats("cumulative")
-    print(f"wrote engine profile to {path} (top of the batched hot loop):")
+    print(f"wrote engine profile to {path} (top of the hot loop):")
     top.print_stats(8)
 
 
@@ -351,21 +292,6 @@ def compare_reports(old: dict, new: dict, tolerance: float) -> list:
             old_engine[scheme].get("runs_per_sec"),
             new_engine[scheme].get("runs_per_sec"),
         )
-        # Snapshots predating the batched engine lack the per-engine
-        # legs; add() skips those rows until a new snapshot is
-        # committed, then they gate the bulk path staying fast *and*
-        # the scalar fallback not rotting.
-        for leg in ("scalar", "batched"):
-            add(
-                f"engine.{scheme}.{leg}.runs_per_sec",
-                old_engine[scheme].get(leg, {}).get("runs_per_sec"),
-                new_engine[scheme].get(leg, {}).get("runs_per_sec"),
-            )
-        add(
-            f"engine.{scheme}.batched_speedup",
-            old_engine[scheme].get("batched_speedup"),
-            new_engine[scheme].get("batched_speedup"),
-        )
 
     old_cache = old.get("trace_cache", {})
     new_cache = new.get("trace_cache", {})
@@ -446,8 +372,7 @@ def main(argv=None) -> int:
         "--profile-out",
         metavar="PATH",
         default=None,
-        help="additionally cProfile the batched hot loop and dump "
-        "pstats data to PATH",
+        help="additionally cProfile the hot loop and dump pstats data to PATH",
     )
     args = parser.parse_args(argv)
     if args.jobs < 1:
@@ -490,12 +415,7 @@ def main(argv=None) -> int:
     profiling = report["profiling"]
     print(f"wrote {args.out}")
     for scheme, row in report["engine"].items():
-        print(
-            f"engine.{scheme}: scalar {row['scalar']['accesses_per_sec']} -> "
-            f"batched {row['batched']['accesses_per_sec']} acc/sec "
-            f"({row['batched_speedup']}x, headline={row['headline_engine']}, "
-            "results equal)"
-        )
+        print(f"engine.{scheme}: {row['accesses_per_sec']} acc/sec")
     print(
         f"sweep: {sweep['reference_serial_s']}s -> {sweep['optimized_s']}s "
         f"({sweep['speedup']}x, jobs={sweep['jobs']}, "
