@@ -23,10 +23,9 @@ Thin, scriptable access to the library's main flows:
 * ``sweep`` — a one-parameter sweep (e.g. LOADLENGTH, Figure 7 style),
   with ``--progress`` ETA + fleet-health ticks on stderr;
 * ``lint`` — the repo-specific static-analysis pass: per-file rules
-  RL001–RL010 and RL012, plus (with ``--deep``) the whole-program rules
+  RL001–RL010, plus (with ``--deep``) the whole-program rules
   RL101–RL104 over a shared AST cache; ``--sarif`` exports SARIF
-  2.1.0, ``--baseline`` absorbs known findings, ``--changed`` reports
-  only files touched vs. a git ref (see :mod:`repro.lint`).
+  2.1.0 (see :mod:`repro.lint`).
 
 Flags are shared through three argparse *parent parsers* rather than
 re-declared per command:
@@ -298,9 +297,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_lint = sub.add_parser(
         "lint",
-        help="repo-specific static analysis (RL001-RL010, RL012, deep RL101-RL104)",
+        help="repo-specific static analysis (RL001-RL010, deep RL101-RL104)",
         description=(
-            "Repo-specific static analysis.  Per-file rules RL001-RL010 and RL012 "
+            "Repo-specific static analysis.  Per-file rules RL001-RL010 "
             "run by default; --deep adds the whole-program rules "
             "RL101-RL104 (cross-module seed provenance, pickle-safety of "
             "values shipped to workers, wall-clock taint into manifests, "
@@ -332,18 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="also run the whole-program rules RL101-RL104 "
                              "(cross-module taint over one shared AST "
                              "cache)")
-    p_lint.add_argument("--changed", nargs="?", const="origin/main",
-                        default=None, metavar="REF",
-                        help="only report findings in files changed vs. REF "
-                             "(default origin/main); deep rules still "
-                             "analyze the whole program")
-    p_lint.add_argument("--baseline", default=None, metavar="FILE",
-                        help="silence findings recorded in FILE "
-                             "(repro.lint-baseline/1); stale entries are "
-                             "reported")
-    p_lint.add_argument("--write-baseline", default=None, metavar="FILE",
-                        help="write the run's findings to FILE as a fresh "
-                             "baseline and exit 0")
     p_lint.add_argument("--sarif", default=None, metavar="FILE",
                         help="also write the findings as SARIF 2.1.0 to "
                              "FILE (for GitHub code scanning)")
@@ -1141,13 +1128,11 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
 def _cmd_lint(args: argparse.Namespace) -> int:
     from repro.lint import (
         deep_rule_catalog,
-        load_baseline,
         render_json,
         render_sarif,
         render_text,
         rule_catalog,
         run_lint,
-        write_baseline,
     )
 
     if args.list_rules:
@@ -1161,22 +1146,12 @@ def _cmd_lint(args: argparse.Namespace) -> int:
             return None
         return [c.strip() for c in raw.split(",") if c.strip()]
 
-    baseline = load_baseline(args.baseline) if args.baseline else None
     report = run_lint(
         args.paths,
         select=codes(args.select),
         ignore=codes(args.ignore),
         deep=args.deep,
-        changed_ref=args.changed,
-        baseline=baseline,
     )
-    if args.write_baseline:
-        target = write_baseline(args.write_baseline, report.findings)
-        print(
-            f"baseline: {len(report.findings)} finding(s) -> {target} "
-            "(fill in the justifications before committing)"
-        )
-        return 0
     if args.sarif is not None:
         from pathlib import Path as _Path
 

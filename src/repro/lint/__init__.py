@@ -5,7 +5,8 @@ rests on:
 
 * the **per-file** rules RL001–RL010 (page/cycle unit discipline,
   seeded determinism, frozen configs, integral accounting, explicit
-  API surfaces) — :mod:`repro.lint.rules`;
+  API surfaces, one emitter per observer hook family) —
+  :mod:`repro.lint.rules`;
 * the **whole-program** rules RL101–RL104 (cross-module seed
   provenance, pickle-safety of shipped values, wall-clock taint into
   manifests, unordered-iteration hazards), which build an import/call
@@ -15,9 +16,8 @@ rests on:
 
 Both layers share one :class:`~repro.lint.graph.ASTCache` per
 invocation, so every file is parsed exactly once.  Findings can be
-silenced by pragma (:mod:`repro.lint.runner`), absorbed by a committed
-baseline (:mod:`repro.lint.baseline`), or exported as SARIF 2.1.0 for
-code-scanning UIs (:mod:`repro.lint.sarif`).
+silenced by pragma (:mod:`repro.lint.runner`) or exported as SARIF
+2.1.0 for code-scanning UIs (:mod:`repro.lint.sarif`).
 
 Run it as ``python -m repro lint [--deep] [paths...]``.
 """
@@ -25,17 +25,9 @@ Run it as ``python -m repro lint [--deep] [paths...]``.
 from repro.lint.findings import Finding, LintRule, RULES, register_rule, rule_catalog
 from repro.lint.graph import ASTCache, ModuleInfo, ProgramGraph
 from repro.lint.deep import DEEP_RULES, deep_rule_catalog, run_deep_rules
-from repro.lint.baseline import (
-    BASELINE_SCHEMA,
-    BaselineResult,
-    apply_baseline,
-    load_baseline,
-    write_baseline,
-)
 from repro.lint.sarif import render_sarif, sarif_document
 from repro.lint.runner import (
     LintReport,
-    changed_files,
     iter_python_files,
     lint_file,
     lint_paths,
@@ -56,15 +48,9 @@ __all__ = [
     "ASTCache",
     "ModuleInfo",
     "ProgramGraph",
-    "BASELINE_SCHEMA",
-    "BaselineResult",
-    "apply_baseline",
-    "load_baseline",
-    "write_baseline",
     "render_sarif",
     "sarif_document",
     "LintReport",
-    "changed_files",
     "iter_python_files",
     "lint_file",
     "lint_paths",

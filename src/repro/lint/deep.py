@@ -117,8 +117,8 @@ class DeepRule:
 
     One instance analyses the entire :class:`ProgramGraph`; findings
     are anchored to the file each offending expression lives in, so
-    pragma suppression and ``--changed`` filtering work per file
-    exactly as for the per-file rules.
+    pragma suppression works per file exactly as for the per-file
+    rules.
     """
 
     code = ""

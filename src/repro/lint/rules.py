@@ -1,4 +1,4 @@
-"""The repo-specific lint rules, RL001–RL010 and RL012.
+"""The repo-specific lint rules, RL001–RL010.
 
 Each rule mechanizes one invariant the reproduction depends on:
 
@@ -42,21 +42,15 @@ Each rule mechanizes one invariant the reproduction depends on:
   reaches the manifest block, the fleet report or the Chrome export —
   and its shape drifts from the ``repro.exec-telemetry/1`` schema the
   consumers validate.
-* **RL010** — paging-ledger emission stays in the driver.  The
+* **RL010** — each passive observer's hooks have one emitter.  The
   ``ledger_*`` hooks of :class:`repro.obs.paging.PagingProfiler` are
-  the per-page decision ledger's only write path; a call from any
-  other library module would record paging decisions the simulation
-  never made (or double-count ones it did), silently breaking the
-  reconciliation identities ``validate_paging_profile`` enforces.
-* **RL012** — fleet time-series emission stays in the fleet event
-  loop.  The ``series_*`` hooks of
-  :class:`repro.obs.fleet_telemetry.FleetTelemetry` are fed
-  exclusively by ``simulate_fleet`` (the sampler is passive — it
-  observes the loop, never drives it); a call from any other library
-  module would inject windows, lifecycle edges or rebalance records
-  the fleet never produced, breaking the exact reconciliation of the
-  ``repro.fleet-timeseries/1`` block against the fleet manifest's QoS
-  aggregates that ``validate_fleet_timeseries`` enforces.
+  fed only by the driver, and the ``series_*`` hooks of
+  :class:`repro.obs.fleet_telemetry.FleetTelemetry` only by
+  ``simulate_fleet``; a call from any other library module would
+  record paging decisions or fleet windows the simulation never
+  produced (or double-count ones it did), silently breaking the exact
+  reconciliation ``validate_paging_profile`` and
+  ``validate_fleet_timeseries`` enforce.
 """
 
 from __future__ import annotations
@@ -78,9 +72,7 @@ __all__ = [
     "StrayMultiprocessing",
     "BareSleep",
     "AdHocExecSpan",
-    "StrayLedgerEmission",
-    "StrayBulkRetirement",
-    "StraySeriesEmission",
+    "StrayObserverHook",
 ]
 
 #: Byte values that re-encode the platform's EPC geometry.
@@ -622,86 +614,59 @@ class AdHocExecSpan(LintRule):
         self.generic_visit(node)
 
 
+#: Observer hook families: (method prefix, the modules allowed to call
+#: it as (package, file) — the emitter, then the observer itself — and
+#: the finding's explanation).
+_HOOK_FAMILIES = (
+    (
+        "ledger_",
+        (("enclave", "driver.py"), ("obs", "paging.py")),
+        "outside the driver — paging-ledger emission is confined to "
+        "repro.enclave.driver so the profile's totals reconcile with the "
+        "run's RunStats",
+    ),
+    (
+        "series_",
+        (("sim", "fleet.py"), ("obs", "fleet_telemetry.py")),
+        "outside simulate_fleet — fleet time-series emission is confined "
+        "to repro.sim.fleet so the block's windows reconcile with the "
+        "fleet's QoS aggregates",
+    ),
+)
+
+
 @register_rule
-class StrayLedgerEmission(LintRule):
-    """RL010: paging-ledger writes outside the sanctioned emitters."""
+class StrayObserverHook(LintRule):
+    """RL010: observer hook calls outside their sanctioned emitter."""
 
     code = "RL010"
-    name = "stray-paging-ledger"
+    name = "stray-observer-hook"
     description = (
-        "ledger_* call outside repro.obs.paging / repro.enclave.driver — "
-        "the paging-decision ledger is fed exclusively by the driver's "
-        "hot-path hooks; any other caller records decisions the "
-        "simulation never made and breaks the profile's reconciliation "
-        "identities"
+        "ledger_* call outside repro.enclave.driver or series_* call "
+        "outside repro.sim.fleet — each passive observer is fed by one "
+        "emitter; any other caller records events the simulation never "
+        "produced and breaks the observer's reconciliation identities"
     )
 
     @classmethod
     def applies_to(cls, path: Path) -> bool:
         # Only library code is policed; tests exercising the hooks
-        # directly are fine.  The profiler itself and the driver are
-        # the two sanctioned homes of ledger traffic.
-        parts = path.parts
-        if "repro" not in parts:
-            return False
-        if path.name == "paging.py" and len(parts) >= 2 and parts[-2] == "obs":
-            return False
-        if path.name == "driver.py" and len(parts) >= 2 and parts[-2] == "enclave":
-            return False
-        return True
+        # directly are fine.
+        return "repro" in path.parts
+
+    def __init__(self, path: Path) -> None:
+        super().__init__(path)
+        home = tuple(path.parts[-2:])
+        self._policed = [
+            (prefix, why)
+            for prefix, homes, why in _HOOK_FAMILIES
+            if home not in homes
+        ]
 
     def visit_Call(self, node: ast.Call) -> None:
         func = node.func
-        if isinstance(func, ast.Attribute) and func.attr.startswith("ledger_"):
-            self.report(
-                node,
-                f"{func.attr}() outside the driver — paging-ledger "
-                "emission is confined to repro.enclave.driver so the "
-                "profile's totals reconcile with the run's RunStats",
-            )
-        self.generic_visit(node)
-
-
-@register_rule
-class StraySeriesEmission(LintRule):
-    """RL012: fleet-telemetry series writes outside the sanctioned emitters."""
-
-    code = "RL012"
-    name = "stray-series-emission"
-    description = (
-        "series_* call outside repro.sim.fleet / "
-        "repro.obs.fleet_telemetry — the fleet time-series sampler is "
-        "fed exclusively by simulate_fleet's event loop; any other "
-        "caller injects windows the fleet never ran and breaks the "
-        "block's reconciliation against the QoS aggregates"
-    )
-
-    @classmethod
-    def applies_to(cls, path: Path) -> bool:
-        # Only library code is policed; tests exercising the hooks
-        # directly are fine.  The sampler itself and the fleet event
-        # loop are the two sanctioned homes of series traffic.
-        parts = path.parts
-        if "repro" not in parts:
-            return False
-        if path.name == "fleet.py" and len(parts) >= 2 and parts[-2] == "sim":
-            return False
-        if (
-            path.name == "fleet_telemetry.py"
-            and len(parts) >= 2
-            and parts[-2] == "obs"
-        ):
-            return False
-        return True
-
-    def visit_Call(self, node: ast.Call) -> None:
-        func = node.func
-        if isinstance(func, ast.Attribute) and func.attr.startswith("series_"):
-            self.report(
-                node,
-                f"{func.attr}() outside simulate_fleet — fleet "
-                "time-series emission is confined to repro.sim.fleet "
-                "so the block's windows reconcile with the fleet's "
-                "QoS aggregates",
-            )
+        if isinstance(func, ast.Attribute):
+            for prefix, why in self._policed:
+                if func.attr.startswith(prefix):
+                    self.report(node, f"{func.attr}() {why}")
         self.generic_visit(node)

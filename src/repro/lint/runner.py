@@ -37,9 +37,8 @@ from __future__ import annotations
 
 import ast
 import re
-import subprocess
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple, Type
 
@@ -57,7 +56,6 @@ __all__ = [
     "lint_paths",
     "run_lint",
     "iter_python_files",
-    "changed_files",
     "render_text",
     "render_json",
 ]
@@ -253,57 +251,6 @@ class LintReport:
     #: only; never reaches a manifest).
     elapsed_s: float = 0.0
     deep: bool = False
-    #: Findings silenced by the baseline file.
-    baselined: int = 0
-    #: Baseline entries that matched nothing (fixed findings).
-    stale_baseline: List[Dict[str, str]] = field(default_factory=list)
-    #: Files the ``--changed`` filter restricted reporting to, or None.
-    changed_only: Optional[int] = None
-
-
-def changed_files(
-    ref: str = "origin/main", *, cwd: Optional[Path] = None
-) -> Set[Path]:
-    """Files changed vs. ``ref``: committed, staged, unstaged, untracked.
-
-    Resolved against the repository's top level so the answer is
-    independent of the directory the linter was launched from.  Raises
-    :class:`LintError` when git or the ref is unavailable.
-    """
-    base = Path(cwd) if cwd is not None else Path.cwd()
-
-    def git(*args: str) -> str:
-        proc = subprocess.run(
-            ["git", *args],
-            cwd=base,
-            capture_output=True,
-            text=True,
-            timeout=30,
-            check=False,
-        )
-        if proc.returncode != 0:
-            raise LintError(
-                f"git {' '.join(args)} failed: {proc.stderr.strip() or 'n/a'}"
-            )
-        return proc.stdout
-
-    toplevel = Path(git("rev-parse", "--show-toplevel").strip())
-    changed = git("diff", "--name-only", "--diff-filter=d", ref)
-    untracked = git("ls-files", "--others", "--exclude-standard")
-    paths: Set[Path] = set()
-    for line in (changed + untracked).splitlines():
-        line = line.strip()
-        if line:
-            paths.add((toplevel / line).resolve())
-    return paths
-
-
-def _filter_changed(
-    findings: Sequence[Finding], changed: Set[Path]
-) -> List[Finding]:
-    return [
-        f for f in findings if Path(f.path).resolve() in changed
-    ]
 
 
 def run_lint(
@@ -312,26 +259,15 @@ def run_lint(
     select: Optional[Iterable[str]] = None,
     ignore: Optional[Iterable[str]] = None,
     deep: bool = False,
-    changed_ref: Optional[str] = None,
-    baseline: Optional[Sequence[Dict[str, str]]] = None,
     cache: Optional[ASTCache] = None,
 ) -> LintReport:
-    """One full lint invocation: per-file pass, deep pass, filters.
+    """One full lint invocation: the per-file pass, then the deep pass.
 
     The per-file rules run on every file under ``paths``; with ``deep``
     (or any RL1xx code in ``select``) the whole-program graph is built
     over the *same* files through the *same* AST cache and the deep
-    rules run after.  ``changed_ref`` restricts **reporting** to files
-    changed vs. that git ref — the deep rules still see the whole
-    program, so a cross-module regression caused by a changed file but
-    manifesting in an unchanged one is only reported when the changed
-    file carries the flagged expression (findings follow the
-    expression, which is where the fix goes).  ``baseline`` entries
-    (see :mod:`repro.lint.baseline`) absorb known findings last, after
-    suppression and the changed filter.
+    rules run after.
     """
-    from repro.lint.baseline import apply_baseline
-
     started = time.perf_counter()
     cache = cache if cache is not None else ASTCache()
     rule_classes, deep_codes = _split_selection(select, ignore, deep=deep)
@@ -344,24 +280,13 @@ def run_lint(
             [p for p in files], codes=deep_codes, cache=cache
         )
         findings.extend(_apply_suppressions(deep_findings, cache))
-    findings = sorted(set(findings))
-    report = LintReport(
-        findings=findings,
+    return LintReport(
+        findings=sorted(set(findings)),
         files=len(files),
+        parsed=cache.parse_count,
+        elapsed_s=time.perf_counter() - started,
         deep=bool(deep_codes),
     )
-    if changed_ref is not None:
-        changed = changed_files(changed_ref)
-        report.changed_only = len(changed)
-        report.findings = _filter_changed(report.findings, changed)
-    if baseline is not None:
-        matched = apply_baseline(report.findings, baseline)
-        report.findings = matched.findings
-        report.baselined = matched.suppressed
-        report.stale_baseline = matched.stale
-    report.parsed = cache.parse_count
-    report.elapsed_s = time.perf_counter() - started
-    return report
 
 
 def render_text(
@@ -372,15 +297,7 @@ def render_text(
     noun = "finding" if len(findings) == 1 else "findings"
     summary = f"{len(findings)} {noun}"
     if report is not None:
-        extras = [f"{report.files} file(s)", f"{report.elapsed_s:.2f}s"]
-        if report.baselined:
-            extras.append(f"{report.baselined} baselined")
-        if report.stale_baseline:
-            extras.append(
-                f"{len(report.stale_baseline)} stale baseline entr"
-                f"{'y' if len(report.stale_baseline) == 1 else 'ies'}"
-            )
-        summary += f" ({', '.join(extras)})"
+        summary += f" ({report.files} file(s), {report.elapsed_s:.2f}s)"
     lines.append(summary)
     return "\n".join(lines)
 
@@ -392,8 +309,7 @@ def render_json(
 
     With a :class:`LintReport`, the document also carries the pass's
     own runtime and parse economy (``files``, ``parsed``,
-    ``elapsed_s``) plus baseline accounting — the measurable face of
-    the shared-AST-cache work.
+    ``elapsed_s``) — the measurable face of the shared-AST-cache work.
     """
     import json
 
@@ -408,11 +324,4 @@ def render_json(
             "parsed": report.parsed,
         }
         document["deep"] = report.deep
-        if report.baselined or report.stale_baseline:
-            document["baseline"] = {
-                "suppressed": report.baselined,
-                "stale": report.stale_baseline,
-            }
-        if report.changed_only is not None:
-            document["changed_files"] = report.changed_only
     return json.dumps(document, indent=2)

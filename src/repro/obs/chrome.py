@@ -112,41 +112,90 @@ def _cycles_to_us(cycles: int, ghz: float) -> float:
     return round(cycles / (ghz * 1_000.0), 3)
 
 
+def _meta(
+    pid: int, tid: int, name: str, kind: str = "thread_name"
+) -> Dict[str, object]:
+    """A metadata record naming one track (or, at tid 0, the process)."""
+    return {
+        "name": kind,
+        "ph": "M",
+        "pid": pid,
+        "tid": tid,
+        "ts": 0,
+        "args": {"name": name},
+    }
+
+
+def _span(
+    name: str,
+    cat: str,
+    pid: int,
+    tid: int,
+    ts: float,
+    args: Dict[str, object],
+    dur: Optional[float] = None,
+) -> Dict[str, object]:
+    """A complete event lasting ``dur`` µs, or a thread instant without one."""
+    record: Dict[str, object] = {
+        "name": name,
+        "cat": cat,
+        "pid": pid,
+        "tid": tid,
+        "ts": ts,
+        "args": args,
+    }
+    if dur is None:
+        record["ph"] = "i"
+        record["s"] = "t"  # thread-scoped instant
+    else:
+        record["ph"] = "X"
+        record["dur"] = dur
+    return record
+
+
+def _cycle_dur(start: int, end: int, ghz: float) -> Optional[float]:
+    """The µs length of a cycle interval; None (an instant) when empty."""
+    return _cycles_to_us(end - start, ghz) if end > start else None
+
+
+def _document(
+    pid: int,
+    process_name: str,
+    ghz: float,
+    records: List[Dict[str, object]],
+    **other: object,
+) -> Dict[str, object]:
+    """The trace document: process name first, then ``records``."""
+    return {
+        "traceEvents": [_meta(pid, 0, process_name, "process_name"), *records],
+        "displayTimeUnit": "ms",
+        "otherData": {"clock_ghz": ghz, "format": "repro.chrome-trace/1", **other},
+    }
+
+
+def _write(path: Union[str, Path], document: Dict[str, object]) -> int:
+    """Write ``document`` as stable JSON; return its record count."""
+    payload = json.dumps(document, sort_keys=True, indent=1)
+    Path(path).write_text(payload + "\n", encoding="utf-8")
+    return len(document["traceEvents"])  # type: ignore[arg-type]
+
+
 def _exec_records(exec_spans, pid: int) -> List[Dict[str, object]]:
     """Render execution spans as runner/worker-lane track records."""
     from repro.obs.exec_telemetry import SpanKind
 
     spans = list(exec_spans)
-    records: List[Dict[str, object]] = [
-        {
-            "name": "thread_name",
-            "ph": "M",
-            "pid": pid,
-            "tid": _EXEC_RUNNER_TID,
-            "ts": 0,
-            "args": {"name": "exec-runner"},
-        }
-    ]
     worker_kinds = (
         SpanKind.ATTEMPT,
         SpanKind.TIMEOUT_ABANDON,
         SpanKind.FAULT_INJECTED,
     )
     lanes = sorted({s.lane for s in spans if s.kind in worker_kinds})
-    for lane in lanes:
-        records.append(
-            {
-                "name": "thread_name",
-                "ph": "M",
-                "pid": pid,
-                "tid": _EXEC_WORKER_TID0 + lane,
-                "ts": 0,
-                "args": {"name": f"worker-{lane}"},
-            }
-        )
-    if not spans:
-        return records
-    origin = min(s.start_s for s in spans)
+    records = [_meta(pid, _EXEC_RUNNER_TID, "exec-runner")]
+    records.extend(
+        _meta(pid, _EXEC_WORKER_TID0 + lane, f"worker-{lane}") for lane in lanes
+    )
+    origin = min((s.start_s for s in spans), default=0.0)
     interval_kinds = (
         SpanKind.QUEUE_WAIT,
         SpanKind.ATTEMPT,
@@ -163,21 +212,13 @@ def _exec_records(exec_spans, pid: int) -> List[Dict[str, object]]:
             args["outcome"] = span.outcome
         if span.detail:
             args["detail"] = span.detail
-        record: Dict[str, object] = {
-            "name": span.kind.value,
-            "cat": "exec",
-            "pid": pid,
-            "tid": tid,
-            "ts": round((span.start_s - origin) * 1e6, 3),
-            "args": args,
-        }
-        if span.kind in interval_kinds:
-            record["ph"] = "X"
-            record["dur"] = round(max(span.duration_s, 0.0) * 1e6, 3)
-        else:
-            record["ph"] = "i"
-            record["s"] = "t"
-        records.append(record)
+        dur = (
+            round(max(span.duration_s, 0.0) * 1e6, 3)
+            if span.kind in interval_kinds
+            else None
+        )
+        ts = round((span.start_s - origin) * 1e6, 3)
+        records.append(_span(span.kind.value, "exec", pid, tid, ts, args, dur))
     return records
 
 
@@ -192,16 +233,7 @@ def _residency_records(
     for rank, entry in enumerate(pages[:_MAX_RESIDENCY_TRACKS]):
         tid = _RESIDENCY_TID0 + rank
         page = entry["page"]
-        records.append(
-            {
-                "name": "thread_name",
-                "ph": "M",
-                "pid": pid,
-                "tid": tid,
-                "ts": 0,
-                "args": {"name": f"page-{page}"},
-            }
-        )
+        records.append(_meta(pid, tid, f"page-{page}"))
         for interval in entry.get("intervals", []):
             start = int(interval["start"])
             end = int(interval["end"])
@@ -219,21 +251,12 @@ def _residency_records(
                 args["evicted_for_kind"] = interval["evicted_for_kind"]
                 args["second_chances"] = interval["second_chances"]
             name = f"{kind}:{'touched' if touched else 'untouched'}"
-            record: Dict[str, object] = {
-                "name": name,
-                "cat": "residency",
-                "pid": pid,
-                "tid": tid,
-                "ts": _cycles_to_us(start, ghz),
-                "args": args,
-            }
-            if end > start:
-                record["ph"] = "X"
-                record["dur"] = _cycles_to_us(end - start, ghz)
-            else:
-                record["ph"] = "i"
-                record["s"] = "t"
-            records.append(record)
+            records.append(
+                _span(
+                    name, "residency", pid, tid, _cycles_to_us(start, ghz),
+                    args, _cycle_dur(start, end, ghz),
+                )
+            )
     return records
 
 
@@ -260,65 +283,28 @@ def chrome_trace(
     """
     if ghz <= 0:
         raise ObsError(f"clock rate must be positive, got {ghz}")
-    trace_events: List[Dict[str, object]] = [
-        {
-            "name": "process_name",
-            "ph": "M",
-            "pid": pid,
-            "tid": 0,
-            "ts": 0,
-            "args": {"name": process_name},
-        }
-    ]
-    for tid in sorted(THREAD_NAMES):
-        trace_events.append(
-            {
-                "name": "thread_name",
-                "ph": "M",
-                "pid": pid,
-                "tid": tid,
-                "ts": 0,
-                "args": {"name": THREAD_NAMES[tid]},
-            }
-        )
+    records = [_meta(pid, tid, THREAD_NAMES[tid]) for tid in sorted(THREAD_NAMES)]
     for event in events:
-        tid = _TID_OF_KIND.get(event.kind, _APP_TID)
         args: Dict[str, object] = {
             "start_cycles": event.start,
             "end_cycles": event.end,
         }
         if event.page >= 0:
             args["page"] = event.page
-        record: Dict[str, object] = {
-            "name": event.kind.value,
-            "cat": "sim",
-            "pid": pid,
-            "tid": tid,
-            "ts": _cycles_to_us(event.start, ghz),
-            "args": args,
-        }
-        if event.duration > 0:
-            record["ph"] = "X"
-            record["dur"] = _cycles_to_us(event.duration, ghz)
-        else:
-            record["ph"] = "i"
-            record["s"] = "t"  # thread-scoped instant
-        trace_events.append(record)
+        records.append(
+            _span(
+                event.kind.value, "sim", pid,
+                _TID_OF_KIND.get(event.kind, _APP_TID),
+                _cycles_to_us(event.start, ghz), args,
+                _cycle_dur(event.start, event.end, ghz),
+            )
+        )
     if exec_spans is not None:
-        trace_events.extend(_exec_records(exec_spans, pid))
+        records.extend(_exec_records(exec_spans, pid))
     if paging_profile is not None:
-        trace_events.extend(_residency_records(paging_profile, pid, ghz))
-    other_data: Dict[str, object] = {
-        "clock_ghz": ghz,
-        "format": "repro.chrome-trace/1",
-    }
-    if dropped_events:
-        other_data["dropped_events"] = dropped_events
-    return {
-        "traceEvents": trace_events,
-        "displayTimeUnit": "ms",
-        "otherData": other_data,
-    }
+        records.extend(_residency_records(paging_profile, pid, ghz))
+    dropped = {"dropped_events": dropped_events} if dropped_events else {}
+    return _document(pid, process_name, ghz, records, **dropped)
 
 
 #: Fleet-wide counter tracks: (trace counter name, fleet series key).
@@ -363,16 +349,7 @@ def fleet_chrome_trace(
     ends = timeseries["window_end"]
     fleet = timeseries["fleet"]
     end_cycles = int(timeseries["end_cycles"])
-    records: List[Dict[str, object]] = [
-        {
-            "name": "process_name",
-            "ph": "M",
-            "pid": pid,
-            "tid": 0,
-            "ts": 0,
-            "args": {"name": process_name},
-        }
-    ]
+    records: List[Dict[str, object]] = []
     for name, key in _FLEET_COUNTERS:
         series = fleet[key]
         for i, end in enumerate(ends):
@@ -389,45 +366,22 @@ def fleet_chrome_trace(
             )
     rebalances = timeseries.get("rebalances", [])
     if rebalances:
-        records.append(
-            {
-                "name": "thread_name",
-                "ph": "M",
-                "pid": pid,
-                "tid": _FLEET_REBALANCE_TID,
-                "ts": 0,
-                "args": {"name": "rebalance"},
-            }
-        )
+        records.append(_meta(pid, _FLEET_REBALANCE_TID, "rebalance"))
         for decision in rebalances:
+            args = {
+                "cycle": decision["cycle"],
+                "quotas_before": decision["quotas_before"],
+                "quotas_after": decision["quotas_after"],
+            }
             records.append(
-                {
-                    "name": "rebalance",
-                    "cat": "fleet",
-                    "ph": "i",
-                    "s": "t",
-                    "pid": pid,
-                    "tid": _FLEET_REBALANCE_TID,
-                    "ts": _cycles_to_us(int(decision["cycle"]), ghz),
-                    "args": {
-                        "cycle": decision["cycle"],
-                        "quotas_before": decision["quotas_before"],
-                        "quotas_after": decision["quotas_after"],
-                    },
-                }
+                _span(
+                    "rebalance", "fleet", pid, _FLEET_REBALANCE_TID,
+                    _cycles_to_us(int(decision["cycle"]), ghz), args,
+                )
             )
     for tenant in timeseries["tenants"]:
         tid = _FLEET_TENANT_TID0 + int(tenant["index"])
-        records.append(
-            {
-                "name": "thread_name",
-                "ph": "M",
-                "pid": pid,
-                "tid": tid,
-                "ts": 0,
-                "args": {"name": f"tenant-{tenant['name']}"},
-            }
-        )
+        records.append(_meta(pid, tid, f"tenant-{tenant['name']}"))
         spans = []
         queued_at = tenant.get("queued_at")
         admitted_at = tenant.get("admitted_at")
@@ -450,43 +404,22 @@ def fleet_chrome_trace(
                 "start_cycles": start,
                 "end_cycles": end,
             }
-            record: Dict[str, object] = {
-                "name": name,
-                "cat": "lifecycle",
-                "pid": pid,
-                "tid": tid,
-                "ts": _cycles_to_us(start, ghz),
-                "args": args,
-            }
-            if end > start:
-                record["ph"] = "X"
-                record["dur"] = _cycles_to_us(end - start, ghz)
-            else:
-                record["ph"] = "i"
-                record["s"] = "t"
-            records.append(record)
+            records.append(
+                _span(
+                    name, "lifecycle", pid, tid, _cycles_to_us(start, ghz),
+                    args, _cycle_dur(start, end, ghz),
+                )
+            )
         if tenant.get("truncated"):
             records.append(
-                {
-                    "name": "truncated",
-                    "cat": "lifecycle",
-                    "ph": "i",
-                    "s": "t",
-                    "pid": pid,
-                    "tid": tid,
-                    "ts": _cycles_to_us(end_cycles, ghz),
-                    "args": {"tenant": tenant["name"]},
-                }
+                _span(
+                    "truncated", "lifecycle", pid, tid,
+                    _cycles_to_us(end_cycles, ghz), {"tenant": tenant["name"]},
+                )
             )
-    return {
-        "traceEvents": records,
-        "displayTimeUnit": "ms",
-        "otherData": {
-            "clock_ghz": ghz,
-            "format": "repro.chrome-trace/1",
-            "source": FLEET_TIMESERIES_SCHEMA,
-        },
-    }
+    return _document(
+        pid, process_name, ghz, records, source=FLEET_TIMESERIES_SCHEMA
+    )
 
 
 def write_fleet_chrome_trace(
@@ -500,10 +433,7 @@ def write_fleet_chrome_trace(
 
     Returns the number of trace records written.
     """
-    document = fleet_chrome_trace(timeseries, pid=pid, ghz=ghz)
-    payload = json.dumps(document, sort_keys=True, indent=1)
-    Path(path).write_text(payload + "\n", encoding="utf-8")
-    return len(document["traceEvents"])  # type: ignore[arg-type]
+    return _write(path, fleet_chrome_trace(timeseries, pid=pid, ghz=ghz))
 
 
 def write_chrome_trace(
@@ -529,9 +459,7 @@ def write_chrome_trace(
         dropped_events=dropped_events,
         paging_profile=paging_profile,
     )
-    payload = json.dumps(document, sort_keys=True, indent=1)
-    Path(path).write_text(payload + "\n", encoding="utf-8")
-    return len(document["traceEvents"])  # type: ignore[arg-type]
+    return _write(path, document)
 
 
 def validate_chrome_trace(document: object) -> Dict[str, int]:

@@ -8,7 +8,7 @@ adaptive-quota policy's rebalances tracked demand or lagged it.  This
 module is the missing time axis:
 
 * :class:`FleetTelemetry` — a passive sampler the fleet event loop
-  feeds through ``series_*`` hooks (lint rule RL012 confines those
+  feeds through ``series_*`` hooks (lint rule RL010 confines those
   calls to ``repro.sim.fleet``, the sole sanctioned emitter).  It
   slices virtual time into fixed windows and records, per window,
   per-tenant and fleet-wide series: demand faults, preload
@@ -50,11 +50,13 @@ per-window sums reconcile exactly with the end-of-run aggregates.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import ObsError
 from repro.obs.metrics import histogram_quantile
+from repro.obs.series import pairwise, runs
 
 __all__ = [
     "FLEET_TIMESERIES_SCHEMA",
@@ -74,10 +76,56 @@ FLEET_SLO_SCHEMA = "repro.fleet-slo/1"
 
 #: Export cap: coarsen (pairwise-merge) windows until at most this
 #: many remain, so the embedded block stays readable and bounded no
-#: matter how long the scenario ran.  Merging sums the delta series
-#: and keeps the later window's sampled gauges, so every
-#: reconciliation identity survives coarsening.
+#: matter how long the scenario ran.
 _MAX_EXPORT_WINDOWS = 128
+
+
+def _first(first, _later):
+    return first
+
+
+def _last(_first, later):
+    return later
+
+
+def _add_buckets(first: List[int], later: List[int]) -> List[int]:
+    """Sum two windows' bucket deltas (``[]``: no histogram bound yet)."""
+    if first and later:
+        return [a + b for a, b in zip(first, later)]
+    return first or later
+
+
+#: How two adjacent windows merge, series by series: deltas add,
+#: sampled gauges keep the later window's close and wait-histogram
+#: bucket deltas add, so every reconciliation identity and per-window
+#: quantile survives a merge; the merged window starts where the first
+#: one did.
+_FLEET_MERGE = (
+    ("_w_start", _first),
+    ("_w_end", _last),
+    ("_f_epc", _last),
+    ("_f_queue", _last),
+    ("_f_active", _last),
+    ("_f_truncated", _last),
+    ("_f_loads", operator.add),
+    ("_f_evictions", operator.add),
+)
+_TENANT_MERGE = (
+    ("accesses", operator.add),
+    ("faults", operator.add),
+    ("preloads", operator.add),
+    ("wait_cycles", operator.add),
+    ("wait_count", operator.add),
+    ("buckets", _add_buckets),
+    ("overflow", operator.add),
+    ("resident", _last),
+    ("quota", _last),
+)
+
+
+def _fold_last(series: List, merge) -> List:
+    """Merge the last two windows of ``series``."""
+    return series[:-2] + [merge(series[-2], series[-1])]
 
 
 @dataclass(frozen=True)
@@ -173,7 +221,7 @@ class _TenantSeries:
     __slots__ = (
         "index", "name", "scheme", "workload", "arrival",
         "queued_at", "admitted_at", "started_at", "departed_at", "truncated",
-        "port", "frames_state",
+        "port",
         "last_accesses", "last_faults", "last_preloads",
         "last_wait_sum", "last_wait_count", "last_buckets", "last_overflow",
         "accesses", "faults", "preloads", "wait_cycles", "wait_count",
@@ -195,7 +243,6 @@ class _TenantSeries:
         self.truncated = False
         # Live references, set at admission: (stats, wait_hist, driver).
         self.port = None
-        self.frames_state = None
         # Cumulative snapshot at the last window close.
         self.last_accesses = 0
         self.last_faults = 0
@@ -259,7 +306,7 @@ class FleetTelemetry:
         self._rebalances: List[Dict[str, object]] = []
 
     # ------------------------------------------------------------------
-    # Hooks (fed exclusively by repro.sim.fleet — lint rule RL012)
+    # Hooks (fed exclusively by repro.sim.fleet — lint rule RL010)
     # ------------------------------------------------------------------
 
     def series_begin(self, config, platform, frames) -> None:
@@ -355,16 +402,11 @@ class FleetTelemetry:
         # The tail window absorbs everything up to the true end —
         # including channel drain done by driver.finish — so the
         # per-window sums equal the end-of-run aggregates exactly.
-        last_closed = self._w_end[-1] if self._w_end else 0
-        if not self._w_end:
-            self._close_window(max(end, 1))
-        elif end > last_closed:
-            self._close_window(end)
-        else:
-            # ``end`` fell exactly on an already-closed boundary: fold
-            # the drain residue into that final window so nothing the
-            # run counted escapes the series.
-            self._merge_residuals_into_last()
+        # When ``end`` is not past the last closed boundary, the tail
+        # closes with zero width and folds into the window before it.
+        self._close_window(max(end, self._w_end[-1] if self._w_end else 1))
+        if self._w_start[-1] == self._w_end[-1]:
+            self._remerge(_fold_last)
         self._end = end
 
     # ------------------------------------------------------------------
@@ -434,58 +476,13 @@ class FleetTelemetry:
         self._last_loads = loads
         self._last_evictions = evictions
 
-    def _merge_residuals_into_last(self) -> None:
-        """Fold post-close counter movement into the final window."""
-        frames = self._frames
+    def _remerge(self, combine) -> None:
+        """Rewrite every window series as ``combine(series, merge)``."""
+        for name, merge in _FLEET_MERGE:
+            setattr(self, name, combine(getattr(self, name), merge))
         for tenant in self._tenants:
-            port = tenant.port
-            if port is None:
-                continue
-            stats, hist, driver = port
-            tenant.accesses[-1] += stats.accesses - tenant.last_accesses
-            tenant.faults[-1] += stats.faults - tenant.last_faults
-            tenant.preloads[-1] += (
-                stats.preloads_completed - tenant.last_preloads
-            )
-            tenant.wait_cycles[-1] += hist.sum - tenant.last_wait_sum
-            tenant.wait_count[-1] += hist.count - tenant.last_wait_count
-            delta = [
-                now - last
-                for now, last in zip(hist.counts, tenant.last_buckets)
-            ]
-            if tenant.buckets[-1]:
-                tenant.buckets[-1] = [
-                    a + b for a, b in zip(tenant.buckets[-1], delta)
-                ]
-            elif any(delta):
-                tenant.buckets[-1] = delta
-            tenant.overflow[-1] += hist.overflow - tenant.last_overflow
-            tenant.last_accesses = stats.accesses
-            tenant.last_faults = stats.faults
-            tenant.last_preloads = stats.preloads_completed
-            tenant.last_wait_sum = hist.sum
-            tenant.last_wait_count = hist.count
-            tenant.last_buckets = list(hist.counts)
-            tenant.last_overflow = hist.overflow
-            if frames is not None:
-                tenant.resident[-1] = frames.resident_of(driver)
-                tenant.quota[-1] = frames.quota_of(driver)
-        platform = self._platform
-        channel = platform.channel
-        loads = (
-            channel.demand_loads + channel.sip_loads + channel.preloads_completed
-        )
-        evictions = sum(
-            t.port[0].evictions for t in self._tenants if t.port is not None
-        )
-        self._f_loads[-1] += loads - self._last_loads
-        self._f_evictions[-1] += evictions - self._last_evictions
-        self._last_loads = loads
-        self._last_evictions = evictions
-        self._f_epc[-1] = platform.epc.resident_count
-        self._f_queue[-1] = len(self._waiting)
-        self._f_active[-1] = self._active
-        self._f_truncated[-1] = self._truncated
+            for name, merge in _TENANT_MERGE:
+                setattr(tenant, name, combine(getattr(tenant, name), merge))
 
     # ------------------------------------------------------------------
     # Export
@@ -494,57 +491,12 @@ class FleetTelemetry:
     def _coarsen(self) -> int:
         """Pairwise-merge windows in place until under the export cap.
 
-        Returns the number of merge passes performed.  Delta series
-        sum; sampled gauges keep the *later* window's value (the state
-        at the merged window's close); wait-histogram bucket deltas
-        sum, so per-window quantiles stay well defined.
+        Returns the number of merge passes performed.
         """
-
-        def merge_sum(series: List[int]) -> List[int]:
-            return [
-                sum(series[i : i + 2]) for i in range(0, len(series), 2)
-            ]
-
-        def merge_last(series: List[int]) -> List[int]:
-            return [
-                series[min(i + 1, len(series) - 1)]
-                for i in range(0, len(series), 2)
-            ]
-
         passes = 0
         while len(self._w_end) > _MAX_EXPORT_WINDOWS:
             passes += 1
-            self._w_start = [
-                self._w_start[i] for i in range(0, len(self._w_start), 2)
-            ]
-            self._w_end = merge_last(self._w_end)
-            self._f_epc = merge_last(self._f_epc)
-            self._f_queue = merge_last(self._f_queue)
-            self._f_active = merge_last(self._f_active)
-            self._f_truncated = merge_last(self._f_truncated)
-            self._f_loads = merge_sum(self._f_loads)
-            self._f_evictions = merge_sum(self._f_evictions)
-            for tenant in self._tenants:
-                tenant.accesses = merge_sum(tenant.accesses)
-                tenant.faults = merge_sum(tenant.faults)
-                tenant.preloads = merge_sum(tenant.preloads)
-                tenant.wait_cycles = merge_sum(tenant.wait_cycles)
-                tenant.wait_count = merge_sum(tenant.wait_count)
-                tenant.overflow = merge_sum(tenant.overflow)
-                tenant.resident = merge_last(tenant.resident)
-                tenant.quota = merge_last(tenant.quota)
-                merged: List[List[int]] = []
-                for i in range(0, len(tenant.buckets), 2):
-                    pair = tenant.buckets[i : i + 2]
-                    if len(pair) == 1 or not pair[1]:
-                        merged.append(pair[0])
-                    elif not pair[0]:
-                        merged.append(pair[1])
-                    else:
-                        merged.append(
-                            [a + b for a, b in zip(pair[0], pair[1])]
-                        )
-                tenant.buckets = merged
+            self._remerge(pairwise)
         return passes
 
     def _window_p99(
@@ -588,14 +540,7 @@ class FleetTelemetry:
                 fleet_wait[i] += tenant.wait_cycles[i]
                 fleet_wait_count[i] += tenant.wait_count[i]
                 fleet_overflow[i] += tenant.overflow[i]
-                if tenant.buckets[i]:
-                    if fleet_buckets[i]:
-                        fleet_buckets[i] = [
-                            a + b
-                            for a, b in zip(fleet_buckets[i], tenant.buckets[i])
-                        ]
-                    else:
-                        fleet_buckets[i] = list(tenant.buckets[i])
+                fleet_buckets[i] = _add_buckets(fleet_buckets[i], tenant.buckets[i])
             entry: Dict[str, object] = {
                 "name": tenant.name,
                 "index": tenant.index,
@@ -725,8 +670,9 @@ def validate_fleet_timeseries(
     checks: the fleet series cross-foot to the per-tenant series in
     every window, and the ``totals`` section equals the series sums.
     When ``fleet_block`` (the ``repro.fleet-manifest/1`` block of the
-    same run) is given, per-tenant and fleet totals must reconcile
-    *exactly* with its QoS aggregates.  Returns summary counts.
+    same run) is given, the block must end at its ``end_cycles`` and
+    per-tenant and fleet totals must reconcile *exactly* with its QoS
+    aggregates.  Returns summary counts.
     """
     if not isinstance(block, Mapping):
         raise ObsError("fleet timeseries must be a mapping")
@@ -831,6 +777,11 @@ def _reconcile_with_fleet_block(
 ) -> None:
     """Exact identities against the ``repro.fleet-manifest/1`` block."""
     summary = fleet_block.get("summary") or {}
+    if block["end_cycles"] != summary.get("end_cycles"):
+        raise ObsError(
+            f"timeseries ends at cycle {block['end_cycles']}, fleet "
+            f"summary end_cycles is {summary.get('end_cycles')}"
+        )
     totals = block["totals"]
     if totals["faults"] != summary.get("faults"):
         raise ObsError(
@@ -873,6 +824,48 @@ def _reconcile_with_fleet_block(
 # ----------------------------------------------------------------------
 
 
+def _flagged_intervals(
+    name: object, flags: Sequence[bool], starts: Sequence[int], ends: Sequence[int]
+) -> Iterator[Tuple[int, int, Dict[str, object]]]:
+    """One ``(start, stop, interval)`` per maximal run of flagged windows."""
+    for flagged, start, stop in runs(flags):
+        if flagged:
+            yield start, stop, {
+                "tenant": name,
+                "start_window": start,
+                "end_window": stop - 1,
+                "start_cycle": starts[start],
+                "end_cycle": ends[stop - 1],
+                "windows": stop - start,
+            }
+
+
+def _window_breaches(
+    tenant: Mapping[str, object], i: int, slo: SloSpec
+) -> Dict[str, float]:
+    """The objectives ``tenant`` violates in window ``i``, with values."""
+    worst: Dict[str, float] = {}
+    if (
+        slo.max_fault_wait_p99 is not None
+        and tenant["wait_count"][i] > 0
+        and tenant["fault_wait_p99"][i] > slo.max_fault_wait_p99
+    ):
+        worst["fault_wait_p99"] = tenant["fault_wait_p99"][i]
+    if slo.max_fault_rate is not None and tenant["accesses"][i] > 0:
+        rate = tenant["faults"][i] / tenant["accesses"][i]
+        if rate > slo.max_fault_rate:
+            worst["fault_rate"] = round(rate, 4)
+    if (
+        slo.min_residency_ratio is not None
+        and tenant.get("quota") is not None
+        and tenant["quota"][i] > 0
+    ):
+        ratio = tenant["resident"][i] / tenant["quota"][i]
+        if ratio < slo.min_residency_ratio:
+            worst["residency_ratio"] = round(ratio, 4)
+    return worst
+
+
 def evaluate_slo(
     block: Mapping[str, object], slo: SloSpec
 ) -> Dict[str, object]:
@@ -890,61 +883,21 @@ def evaluate_slo(
     n = len(ends)
     breaches: List[Dict[str, object]] = []
     for tenant in block["tenants"]:
-        open_interval: Optional[Dict[str, object]] = None
-        for i in range(n):
-            violated: List[str] = []
+        per_window = [_window_breaches(tenant, i, slo) for i in range(n)]
+        flags = [bool(found) for found in per_window]
+        for start, stop, interval in _flagged_intervals(
+            tenant["name"], flags, starts, ends
+        ):
             worst: Dict[str, float] = {}
-            if (
-                slo.max_fault_wait_p99 is not None
-                and tenant["wait_count"][i] > 0
-                and tenant["fault_wait_p99"][i] > slo.max_fault_wait_p99
-            ):
-                violated.append("fault_wait_p99")
-                worst["fault_wait_p99"] = tenant["fault_wait_p99"][i]
-            if slo.max_fault_rate is not None and tenant["accesses"][i] > 0:
-                rate = tenant["faults"][i] / tenant["accesses"][i]
-                if rate > slo.max_fault_rate:
-                    violated.append("fault_rate")
-                    worst["fault_rate"] = round(rate, 4)
-            if (
-                slo.min_residency_ratio is not None
-                and tenant.get("quota") is not None
-                and tenant["quota"][i] > 0
-            ):
-                ratio = tenant["resident"][i] / tenant["quota"][i]
-                if ratio < slo.min_residency_ratio:
-                    violated.append("residency_ratio")
-                    worst["residency_ratio"] = round(ratio, 4)
-            if violated:
-                if open_interval is None:
-                    open_interval = {
-                        "tenant": tenant["name"],
-                        "start_window": i,
-                        "end_window": i,
-                        "start_cycle": starts[i],
-                        "end_cycle": ends[i],
-                        "windows": 1,
-                        "violated": list(violated),
-                        "worst": dict(worst),
-                    }
-                else:
-                    open_interval["end_window"] = i
-                    open_interval["end_cycle"] = ends[i]
-                    open_interval["windows"] += 1
-                    merged = set(open_interval["violated"]) | set(violated)
-                    open_interval["violated"] = sorted(merged)
-                    for key, value in worst.items():
-                        prior = open_interval["worst"].get(key)
-                        if key == "residency_ratio":
-                            keep = value if prior is None else min(prior, value)
-                        else:
-                            keep = value if prior is None else max(prior, value)
-                        open_interval["worst"][key] = keep
-            elif open_interval is not None:
-                breaches.append(open_interval)
-                open_interval = None
-        if open_interval is not None:
-            breaches.append(open_interval)
+            for found in per_window[start:stop]:
+                for key, value in found.items():
+                    prior = worst.get(key, value)
+                    low = key == "residency_ratio"
+                    worst[key] = min(prior, value) if low else max(prior, value)
+            # A one-window interval lists its objectives in check order.
+            interval["violated"] = list(worst) if stop - start == 1 else sorted(worst)
+            interval["worst"] = worst
+            breaches.append(interval)
     return {
         "schema": FLEET_SLO_SCHEMA,
         "spec": slo.as_dict(),
@@ -979,44 +932,27 @@ def detect_thrash(
     n = len(ends)
     intervals: List[Dict[str, object]] = []
     for tenant in block["tenants"]:
+        faults = tenant["faults"]
         active = [i for i in range(n) if tenant["accesses"][i] > 0]
-        total_faults = sum(tenant["faults"][i] for i in active)
+        total_faults = sum(faults[i] for i in active)
         total_span = sum(ends[i] - starts[i] for i in active)
         if total_faults < min_faults or total_span <= 0:
             continue
         mean_rate = total_faults / total_span
-        open_interval: Optional[Dict[str, object]] = None
-        for i in range(n):
-            width = ends[i] - starts[i]
-            rate = tenant["faults"][i] / width if width else 0.0
-            hot = (
-                tenant["faults"][i] >= min_faults
-                and rate > factor * mean_rate
+        rates = [
+            faults[i] / (ends[i] - starts[i]) if ends[i] > starts[i] else 0.0
+            for i in range(n)
+        ]
+        flags = [
+            faults[i] >= min_faults and rates[i] > factor * mean_rate
+            for i in range(n)
+        ]
+        for start, stop, interval in _flagged_intervals(
+            tenant["name"], flags, starts, ends
+        ):
+            interval["faults"] = sum(faults[start:stop])
+            interval["peak_rate_vs_mean"] = max(
+                round(rate / mean_rate, 2) for rate in rates[start:stop]
             )
-            if hot:
-                if open_interval is None:
-                    open_interval = {
-                        "tenant": tenant["name"],
-                        "start_window": i,
-                        "end_window": i,
-                        "start_cycle": starts[i],
-                        "end_cycle": ends[i],
-                        "windows": 1,
-                        "faults": tenant["faults"][i],
-                        "peak_rate_vs_mean": round(rate / mean_rate, 2),
-                    }
-                else:
-                    open_interval["end_window"] = i
-                    open_interval["end_cycle"] = ends[i]
-                    open_interval["windows"] += 1
-                    open_interval["faults"] += tenant["faults"][i]
-                    open_interval["peak_rate_vs_mean"] = max(
-                        open_interval["peak_rate_vs_mean"],
-                        round(rate / mean_rate, 2),
-                    )
-            elif open_interval is not None:
-                intervals.append(open_interval)
-                open_interval = None
-        if open_interval is not None:
-            intervals.append(open_interval)
+            intervals.append(interval)
     return intervals

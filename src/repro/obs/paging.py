@@ -45,6 +45,7 @@ from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Union
 
 from repro.errors import ObsError
+from repro.obs.series import pairwise, runs
 
 __all__ = [
     "PAGING_PROFILE_SCHEMA",
@@ -469,7 +470,7 @@ class PagingProfiler:
             phases = _segment(windows, mean_rate)
             if len(phases) <= _MAX_PHASES or len(windows) <= 2:
                 break
-            windows = _coarsen(windows)
+            windows = pairwise(windows, _merge_windows)
         for index, phase in enumerate(phases):
             phase["phase"] = index
         return phases
@@ -518,72 +519,55 @@ class PagingProfiler:
         return export
 
 
+def _band(window: Dict[str, object], mean_rate: float) -> str:
+    """Label one window by its fault rate against the run mean."""
+    accesses = int(window["accesses"])
+    rate = int(window["faults"]) / accesses if accesses else 0.0
+    if mean_rate <= 0.0 or rate < 0.25 * mean_rate:
+        return "resident"
+    if rate > 2.0 * mean_rate:
+        return "bursty"
+    return "steady"
+
+
 def _segment(
     windows: List[Dict[str, object]], mean_rate: float
 ) -> List[Dict[str, object]]:
     """Band each window by fault rate vs the run mean; merge runs."""
     phases: List[Dict[str, object]] = []
-    for window in windows:
-        accesses = int(window["accesses"])
-        faults = int(window["faults"])
-        rate = faults / accesses if accesses else 0.0
-        if mean_rate <= 0.0 or rate < 0.25 * mean_rate:
-            label = "resident"
-        elif rate > 2.0 * mean_rate:
-            label = "bursty"
-        else:
-            label = "steady"
-        last = phases[-1] if phases else None
-        if last is not None and last["label"] == label:
-            last["windows"] = int(last["windows"]) + 1
-            last["accesses"] = int(last["accesses"]) + accesses
-            last["faults"] = int(last["faults"]) + faults
-            last["scan_credited_pages"] = int(last["scan_credited_pages"]) + int(
-                window["credits"]
-            )
-            last["end_cycle"] = window["end_cycle"]
-        else:
-            phases.append(
-                {
-                    "label": label,
-                    "windows": 1,
-                    "accesses": accesses,
-                    "faults": faults,
-                    "scan_credited_pages": int(window["credits"]),
-                    "start_cycle": window["start_cycle"],
-                    "end_cycle": window["end_cycle"],
-                }
-            )
-    for phase in phases:
-        phase["fault_rate"] = round(
-            int(phase["faults"]) / int(phase["accesses"]), 6
-        ) if int(phase["accesses"]) else 0.0
+    for label, start, stop in runs([_band(w, mean_rate) for w in windows]):
+        span = windows[start:stop]
+        accesses = sum(int(w["accesses"]) for w in span)
+        faults = sum(int(w["faults"]) for w in span)
+        phases.append(
+            {
+                "label": label,
+                "windows": stop - start,
+                "accesses": accesses,
+                "faults": faults,
+                "scan_credited_pages": sum(int(w["credits"]) for w in span),
+                "start_cycle": span[0]["start_cycle"],
+                "end_cycle": span[-1]["end_cycle"],
+                "fault_rate": round(faults / accesses, 6) if accesses else 0.0,
+            }
+        )
     return phases
 
 
-def _coarsen(windows: List[Dict[str, object]]) -> List[Dict[str, object]]:
-    """Halve the window list by merging adjacent pairs (deterministic)."""
-    merged: List[Dict[str, object]] = []
-    for start in range(0, len(windows), 2):
-        pair = windows[start : start + 2]
-        first, last = pair[0], pair[-1]
-        heat_a: List[int] = first["heat"]  # type: ignore[assignment]
-        heat = list(heat_a)
-        if len(pair) == 2:
-            heat_b: List[int] = last["heat"]  # type: ignore[assignment]
-            for bucket, count in enumerate(heat_b):
-                heat[bucket] += count
-        merged.append(
-            {
-                "accesses": sum(int(w["accesses"]) for w in pair),
-                "faults": sum(int(w["faults"]) for w in pair),
-                "credits": sum(int(w["credits"]) for w in pair),
-                "start_cycle": first["start_cycle"],
-                "end_cycle": last["end_cycle"],
-                "heat": heat,
-            }
-        )
-    return merged
+def _merge_windows(
+    first: Dict[str, object], last: Dict[str, object]
+) -> Dict[str, object]:
+    """One window spanning two adjacent ones."""
+    heat_a: List[int] = first["heat"]  # type: ignore[assignment]
+    heat_b: List[int] = last["heat"]  # type: ignore[assignment]
+    return {
+        "accesses": int(first["accesses"]) + int(last["accesses"]),
+        "faults": int(first["faults"]) + int(last["faults"]),
+        "credits": int(first["credits"]) + int(last["credits"]),
+        "start_cycle": first["start_cycle"],
+        "end_cycle": last["end_cycle"],
+        "heat": [a + b for a, b in zip(heat_a, heat_b)],
+    }
 
 
 def validate_paging_profile(block: object) -> Dict[str, int]:

@@ -403,7 +403,7 @@ def simulate_fleet(
 
     ``telemetry`` attaches a :class:`~repro.obs.fleet_telemetry.
     FleetTelemetry` sampler.  This function is the *sole sanctioned
-    emitter* of its ``series_*`` hooks (lint rule RL012): every hook
+    emitter* of its ``series_*`` hooks (lint rule RL010): every hook
     is a passive read of driver counters and platform state, so an
     observed run's results — and its fleet-manifest bytes — are
     identical to a blind run's.
@@ -554,6 +554,11 @@ def simulate_fleet(
         if scenario.duration is not None and time > scenario.duration:
             truncated_at = scenario.duration
             break
+        if index == _REBALANCE and live == 0:
+            # The tick queued before the last departure: no tenant is
+            # left to rebalance, and closing windows up to it would run
+            # the time series past the end of the fleet run.
+            continue
         if telemetry is not None:
             telemetry.series_tick(time)
         if rank == _RANK_CONTROL:

@@ -217,16 +217,16 @@ class TestRL010StrayLedgerEmission:
         assert lint_file(mod, select=["RL010"]) == []
 
 
-class TestRL012StraySeriesEmission:
+class TestRL010StraySeriesEmission:
     def test_fires_on_each_series_call(self):
-        found = findings_for("repro/rl012_violation.py", "RL012")
+        found = findings_for("repro/rl010_series_violation.py", "RL010")
         # series_tick() and series_rebalance()
         assert len(found) == 2
         messages = " | ".join(f.message for f in found)
         assert "simulate_fleet" in messages
 
     def test_silent_under_pragma_and_on_non_series_attributes(self):
-        assert findings_for("repro/rl012_suppressed.py", "RL012") == []
+        assert findings_for("repro/rl010_series_suppressed.py", "RL010") == []
 
     @pytest.mark.parametrize(
         "relpath", ["repro/sim/fleet.py", "repro/obs/fleet_telemetry.py"]
@@ -235,26 +235,41 @@ class TestRL012StraySeriesEmission:
         mod = tmp_path / relpath
         mod.parent.mkdir(parents=True, exist_ok=True)
         mod.write_text("__all__ = []\ntelemetry.series_tick(now)\n")
-        assert lint_file(mod, select=["RL012"]) == []
+        assert lint_file(mod, select=["RL010"]) == []
 
     def test_other_library_modules_are_in_scope(self, tmp_path):
         mod = tmp_path / "repro" / "sim" / "sweep.py"
         mod.parent.mkdir(parents=True)
         mod.write_text("__all__ = []\ntelemetry.series_tick(now)\n")
-        assert len(lint_file(mod, select=["RL012"])) == 1
+        assert len(lint_file(mod, select=["RL010"])) == 1
 
     def test_code_outside_the_package_is_exempt(self, tmp_path):
         mod = tmp_path / "tools" / "poke.py"
         mod.parent.mkdir()
         mod.write_text("telemetry.series_tick(0)\n")
-        assert lint_file(mod, select=["RL012"]) == []
+        assert lint_file(mod, select=["RL010"]) == []
+
+    @pytest.mark.parametrize(
+        "relpath, call",
+        [
+            ("repro/sim/fleet.py", "profiler.ledger_hit(0, 0)"),
+            ("repro/enclave/driver.py", "telemetry.series_tick(0)"),
+        ],
+    )
+    def test_each_emitter_is_exempt_for_its_own_family_only(
+        self, tmp_path, relpath, call
+    ):
+        mod = tmp_path / relpath
+        mod.parent.mkdir(parents=True)
+        mod.write_text(f"__all__ = []\n{call}\n")
+        assert len(lint_file(mod, select=["RL010"])) == 1
 
 
 @pytest.mark.parametrize(
     "code",
     [
         "RL001", "RL002", "RL003", "RL004", "RL005", "RL006", "RL007",
-        "RL008", "RL009", "RL010", "RL012",
+        "RL008", "RL009", "RL010",
     ],
 )
 def test_clean_fixture_is_silent_under_every_rule(code):

@@ -13,6 +13,7 @@ criteria:
 """
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -28,6 +29,8 @@ from repro.obs.fleet_telemetry import (
 )
 from repro.obs.manifest import manifest_digest
 from repro.sim.fleet import EPC_POLICIES, SCENARIO_NAMES, build_scenario, simulate_fleet
+
+GOLDEN_FLEET_TRACE = Path(__file__).parent / "golden_fleet_chrome_trace.json"
 
 
 def canonical(document):
@@ -112,6 +115,32 @@ def synthetic_block(
             "channel_wait_cycles": sum(fleet_wait),
         },
     }
+
+
+def lifecycle_block():
+    """``synthetic_block`` plus one rebalance decision, one tenant still
+    queued at the end and one truncated tenant that spun up first."""
+    block = synthetic_block()
+    zeros = [0] * len(block["window_end"])
+    lifecycles = (
+        {"queued_at": 500, "admitted_at": None, "started_at": None},
+        {"queued_at": None, "admitted_at": 300, "started_at": 700, "truncated": True},
+    )
+    for index, (name, lifecycle) in enumerate(zip(("gamma", "delta"), lifecycles), 2):
+        tenant = {
+            key: list(zeros) if isinstance(value, list) else value
+            for key, value in block["tenants"][0].items()
+        }
+        tenant.update(index=index, name=name, departed_at=None, **lifecycle)
+        block["tenants"].append(tenant)
+    block["rebalances"] = [
+        {
+            "cycle": 1_000,
+            "quotas_before": {"alpha": 8, "beta": 8, "delta": 8},
+            "quotas_after": {"alpha": 12, "beta": 6, "delta": 6},
+        }
+    ]
+    return block
 
 
 class TestPassivity:
@@ -247,6 +276,13 @@ class TestValidatorErrors:
         with pytest.raises(ObsError):
             validate_fleet_timeseries(result.timeseries, fleet_block=fleet_block)
 
+    def test_rejects_end_cycles_mismatch_against_fleet_block(self):
+        result = observed_run()
+        fleet_block = json.loads(canonical(result.fleet_block()))
+        fleet_block["summary"]["end_cycles"] += 1
+        with pytest.raises(ObsError, match="end_cycles"):
+            validate_fleet_timeseries(result.timeseries, fleet_block=fleet_block)
+
 
 class TestSloSpec:
     def test_parse_full_spec(self):
@@ -357,6 +393,16 @@ class TestExports:
         assert counts["instant"] == len(result.timeseries["rebalances"])
         names = {e["name"] for e in document["traceEvents"]}
         assert {"fleet-faults", "epc-resident", "queue-depth", "run"} <= names
+
+    def test_chrome_trace_golden_file(self, tmp_path):
+        """Counter, rebalance and lifecycle tracks are pinned byte for byte."""
+        from repro.obs.chrome import write_fleet_chrome_trace
+
+        out = tmp_path / "fleet.trace.json"
+        write_fleet_chrome_trace(out, lifecycle_block())
+        assert out.read_text(encoding="utf-8") == GOLDEN_FLEET_TRACE.read_text(
+            encoding="utf-8"
+        )
 
     def test_chrome_trace_rejects_non_timeseries_input(self):
         from repro.obs.chrome import fleet_chrome_trace

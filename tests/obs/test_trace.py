@@ -17,6 +17,7 @@ from repro.obs.chrome import (
     validate_chrome_trace,
     write_chrome_trace,
 )
+from repro.obs.exec_telemetry import ExecSpan, SpanKind
 from repro.obs.trace import (
     DEFAULT_EVENT_CAPACITY,
     JsonlSink,
@@ -26,6 +27,7 @@ from repro.obs.trace import (
 )
 
 GOLDEN = Path(__file__).parent / "golden_chrome_trace.json"
+GOLDEN_EXEC = Path(__file__).parent / "golden_exec_tracks.json"
 
 #: A small fixed timeline exercising every record shape the exporter
 #: produces: complete events on all three tracks, instants, pages.
@@ -36,6 +38,20 @@ GOLDEN_EVENTS = [
     TimelineEvent(EventKind.PRELOAD, 58_000, 102_000, 6),
     TimelineEvent(EventKind.ABORT, 110_000, 110_000, 9),
     TimelineEvent(EventKind.SCAN, 200_000, 200_000),
+]
+
+#: A fixed execution timeline for the exec tracks: a queue wait,
+#: attempts on two worker lanes, a timeout abandon, a retry backoff,
+#: an injected fault and a checkpoint write.
+GOLDEN_SPANS = [
+    ExecSpan(SpanKind.QUEUE_WAIT, 0, 1, 0, 100.0, 100.25),
+    ExecSpan(SpanKind.ATTEMPT, 0, 1, 0, 100.25, 101.5, outcome="ok"),
+    ExecSpan(SpanKind.ATTEMPT, 1, 1, 1, 100.25, 102.0, outcome="timeout"),
+    ExecSpan(SpanKind.TIMEOUT_ABANDON, 1, 1, 1, 102.0, 102.0, detail="hang"),
+    ExecSpan(SpanKind.RETRY_BACKOFF, 1, 1, 0, 102.0, 102.5),
+    ExecSpan(SpanKind.FAULT_INJECTED, 1, 2, 1, 102.5, 102.5, detail="crash"),
+    ExecSpan(SpanKind.ATTEMPT, 1, 2, 1, 102.5, 103.0, outcome="ok"),
+    ExecSpan(SpanKind.CHECKPOINT_WRITE, 0, 1, 0, 103.0, 103.0),
 ]
 
 
@@ -196,6 +212,15 @@ class TestChromeTrace:
         records = write_chrome_trace(out, GOLDEN_EVENTS)
         assert records == 10  # 4 metadata + 6 events
         assert out.read_text(encoding="utf-8") == GOLDEN.read_text(encoding="utf-8")
+
+    def test_exec_tracks_golden_file(self, tmp_path):
+        """The runner and worker-lane tracks are pinned byte for byte."""
+        out = tmp_path / "exec.json"
+        records = write_chrome_trace(out, [], exec_spans=GOLDEN_SPANS)
+        assert records == 15  # 4 sim metadata + runner + 2 lanes + 8 spans
+        assert out.read_text(encoding="utf-8") == GOLDEN_EXEC.read_text(
+            encoding="utf-8"
+        )
 
     def test_golden_file_validates(self):
         counts = validate_chrome_trace(json.loads(GOLDEN.read_text()))
