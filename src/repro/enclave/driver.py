@@ -41,7 +41,7 @@ from repro.enclave.page_table import SharedBitmap
 from repro.enclave.platform import SharedPlatform
 from repro.enclave.sanitizer import SimSanitizer
 from repro.enclave.stats import RunStats
-from repro.errors import SimulationError
+from repro.errors import EpcError, SimulationError
 from repro.obs.metrics import NULL_REGISTRY, MetricsRegistry
 from repro.obs.paging import PagingProfiler
 from repro.obs.trace import DEFAULT_EVENT_CAPACITY, RingBufferSink, TraceSink
@@ -230,11 +230,12 @@ class SgxDriver:
         if self.sanitizer is not None:
             self.sanitizer.record_event(kind, start, end, page)
 
-    def _note_eviction(self, state) -> None:
-        """Account an eviction of one of *this* enclave's pages."""
+    def _note_eviction(self, code: int) -> None:
+        """Account an eviction of one of *this* enclave's pages, given
+        the victim's final status byte."""
         self.stats.evictions += 1
-        if state.preloaded:
-            if state.accessed:
+        if code & PAGE_PRELOADED:
+            if code & PAGE_ACCESSED:
                 # Correct preload caught at eviction before a scan
                 # could credit it.
                 self.stats.preloads_accessed += 1
@@ -273,11 +274,11 @@ class SgxDriver:
             # free.
             while frames.needs_victim(self):
                 victim = frames.select_victim(self)
-                state = epc.evict(victim)
+                code = epc.evict(victim)
                 frames.note_evict(victim)
                 evicted = True
                 victim_owner = self._platform.owner_of(victim) or self
-                victim_owner._note_eviction(state)
+                victim_owner._note_eviction(code)
             epc.insert(page, preloaded=(kind is LoadKind.PRELOAD))
             frames.note_insert(self, page)
             if self.sanitizer is not None:
@@ -298,7 +299,7 @@ class SgxDriver:
             evictor = self.evictor
             chances_before = evictor.second_chances
             victim = evictor.select_victim()
-            state = epc.evict(victim)
+            code = epc.evict(victim)
             evictor.note_evict(victim)
             evicted = True
             platform = self._platform
@@ -306,13 +307,13 @@ class SgxDriver:
                 victim_owner = self
             else:
                 victim_owner = platform.owner_of(victim) or self
-            victim_owner._note_eviction(state)
+            victim_owner._note_eviction(code)
             if victim_owner._profiling:
                 victim_owner._profiler.ledger_evict(
                     victim,
                     finish,
-                    accessed=state.accessed,
-                    preloaded=state.preloaded,
+                    accessed=bool(code & PAGE_ACCESSED),
+                    preloaded=bool(code & PAGE_PRELOADED),
                     second_chances=self.evictor.second_chances - chances_before,
                     for_page=page,
                     for_kind=kind.value,
@@ -386,13 +387,19 @@ class SgxDriver:
             self.sanitizer.check_tick(self.stats, self._clock_hw, now)
 
     def poll(self, now: int) -> None:
-        """Advance background machinery (channel + scans) to ``now``."""
+        """Advance background machinery (channel + scans) to ``now``.
+
+        The platform is polled only once a scan or the channel is due:
+        before both, a poll would change nothing.
+        """
         if now < self._last_now:
             raise SimulationError(
                 f"time went backwards: {now} < {self._last_now}"
             )
         self._last_now = now
-        self._platform.poll(now)
+        platform = self._platform
+        if now >= platform.next_scan or now >= self.channel.due:
+            platform.poll(now)
 
     def _filter_burst(self, burst: List[int]) -> List[int]:
         """Drop burst pages that need no load: outside the ELRANGE,
@@ -404,7 +411,7 @@ class SgxDriver:
         """
         base = self._base_page
         limit = self._limit_page
-        resident = self.epc.resident_map
+        status = self._status_table
         channel = self.channel
         current = channel.current_page
         queued = channel.is_queued
@@ -412,23 +419,10 @@ class SgxDriver:
             page
             for page in burst
             if base <= page < limit
-            and page not in resident
+            and not status[page]
             and page != current
             and not queued(page)
         ]
-
-    def _touch(self, page: int, *, hit: bool) -> None:
-        """Set the accessed bit; account preload hits on first touch."""
-        status = self._status_table
-        code = status[page]
-        if not code:
-            self.epc.state_of(page)  # raises EpcError: not resident
-        if not code & PAGE_ACCESSED:
-            if code & PAGE_PRELOADED:
-                self.stats.preload_hits += 1
-            status[page] = code | PAGE_ACCESSED
-        if hit:
-            self.stats.epc_hits += 1
 
     # ------------------------------------------------------------------
     # Application-visible entry points
@@ -442,121 +436,131 @@ class SgxDriver:
                 f"[{self._base_page}, {self._limit_page})"
             )
         self._clock_hw = now
-        # Inlined poll(): this runs once per simulated event, and the
-        # background machinery must still advance *before* residency is
-        # read — a completion landing at or before ``now`` can insert
-        # this very page (or evict it as a CLOCK victim).
+        # Inlined poll(): this runs once per simulated event.  The
+        # background machinery must advance *before* residency is read
+        # — a completion landing at or before ``now`` can insert this
+        # very page (or evict it as a CLOCK victim) — but before both
+        # the next scan and the channel's ``due`` a poll changes
+        # nothing, so it is skipped.
         if now < self._last_now:
             raise SimulationError(
                 f"time went backwards: {now} < {self._last_now}"
             )
         self._last_now = now
-        self._platform.poll(now)
+        platform = self._platform
+        channel = self.channel
+        if now >= platform.next_scan or now >= channel.due:
+            platform.poll(now)
         stats = self.stats
         stats.accesses += 1
         status = self._status_table
         code = status[page]
         if code:
-            # Resident fast path: one status-byte probe, set the A bit,
-            # done — no fault machinery, no event emission (a plain EPC
-            # hit has no timeline extent).
-            if not code & PAGE_ACCESSED:
-                if code & PAGE_PRELOADED:
-                    stats.preload_hits += 1
-                status[page] = code | PAGE_ACCESSED
+            # Resident fast path: one status-byte probe and the A-bit
+            # update below — no fault machinery, no event emission (a
+            # plain EPC hit has no timeline extent).
             stats.epc_hits += 1
             if self._profiling:
                 self._profiler.ledger_hit(page, now)
-            return now
-
-        # Demand fault: AEX out of the enclave.
-        cost = self._cost
-        stats.faults += 1
-        t = now + cost.aex_cycles
-        stats.time.aex += cost.aex_cycles
-        observing = self._observing
-        if observing:
-            self._emit(EventKind.AEX, now, t)
-        self.channel.advance_to(t)
-
-        if self.epc.is_resident(page):
-            # A preload landed during the AEX itself.
-            stats.faults_absorbed_by_inflight += 1
-            if self._profiling:
-                self._profiler.ledger_fault(page, t, "absorbed")
-        elif self.channel.current_page == page:
-            # The page is mid-load on the non-preemptible channel:
-            # ride the in-flight preload to completion.
-            finish = self.channel.wait_for_current(t)
-            stats.faults_absorbed_by_inflight += 1
-            stats.time.fault_wait += finish - t
-            self._m_fault_wait_hist.observe(finish - t)
-            if observing:
-                self._emit(EventKind.FAULT_WAIT, t, finish, page)
-            t = finish
-            if self._profiling:
-                self._profiler.ledger_fault(page, t, "absorbed")
+            end = now
         else:
-            burst_tag = self.channel.queued_tag(page)
-            if burst_tag is not None:
-                # Fault inside a queued burst: the preloader fell
-                # behind — abort that burst's remainder (in-stream
-                # abort, Section 4.1).
-                if self.sanitizer is not None or self._profiling:
-                    doomed = self._queued_pages_of_tag(burst_tag)
-                    if self.sanitizer is not None:
-                        self.sanitizer.check_abort(doomed, t)
-                    if self._profiling:
-                        self._profiler.ledger_abort(
-                            doomed, t, "in_stream", trigger=page
-                        )
-                dropped = self.channel.abort_tag(burst_tag, t)
-                self._m_abort_instream.inc()
-                self._m_abort_instream_pages.inc(dropped)
-                if self._dfp is not None and dropped:
-                    self._dfp.note_aborted(dropped)
-                if observing:
-                    self._emit(EventKind.ABORT, t, t, page)
-            finish = self.channel.load_sync(page, LoadKind.DEMAND, t)
-            stats.time.fault_wait += finish - t
-            self._m_fault_wait_hist.observe(finish - t)
+            # Demand fault: AEX out of the enclave.
+            cost = self._cost
+            stats.faults += 1
+            t = now + cost.aex_cycles
+            stats.time.aex += cost.aex_cycles
+            observing = self._observing
             if observing:
-                self._emit(
-                    EventKind.DEMAND_LOAD,
-                    finish - self.channel.load_cycles,
-                    finish,
-                    page,
-                )
-            t = finish
-            if self._profiling:
-                self._profiler.ledger_fault(
-                    page,
-                    t,
-                    "queued" if burst_tag is not None else "miss",
-                    preloader_active=(
-                        self._dfp is not None and self._dfp.active
-                    ),
-                )
+                self._emit(EventKind.AEX, now, t)
+            if t >= channel.due:
+                channel.advance_to(t)
 
-        # The OS observed the fault: feed the predictor and schedule
-        # the predicted burst (it starts loading during the ERESUME).
-        if self._dfp is not None:
-            burst = self._dfp.on_fault(page)
-            if burst:
-                pages = self._filter_burst(burst)
-                if pages:
-                    if self.sanitizer is not None:
-                        self.sanitizer.check_enqueue(pages, t)
-                    self.channel.enqueue_preloads(pages, t)
-                    if self._profiling:
-                        self._profiler.ledger_enqueue(pages, t)
+            if status[page]:
+                # A preload landed during the AEX itself.
+                stats.faults_absorbed_by_inflight += 1
+                if self._profiling:
+                    self._profiler.ledger_fault(page, t, "absorbed")
+            elif channel.current_page == page:
+                # The page is mid-load on the non-preemptible channel:
+                # ride the in-flight preload to completion.
+                finish = channel.wait_for_current(t)
+                stats.faults_absorbed_by_inflight += 1
+                stats.time.fault_wait += finish - t
+                self._m_fault_wait_hist.observe(finish - t)
+                if observing:
+                    self._emit(EventKind.FAULT_WAIT, t, finish, page)
+                t = finish
+                if self._profiling:
+                    self._profiler.ledger_fault(page, t, "absorbed")
+            else:
+                burst_tag = channel.queued_tag(page)
+                if burst_tag is not None:
+                    # Fault inside a queued burst: the preloader fell
+                    # behind — abort that burst's remainder (in-stream
+                    # abort, Section 4.1).
+                    if self.sanitizer is not None or self._profiling:
+                        doomed = self._queued_pages_of_tag(burst_tag)
+                        if self.sanitizer is not None:
+                            self.sanitizer.check_abort(doomed, t)
+                        if self._profiling:
+                            self._profiler.ledger_abort(
+                                doomed, t, "in_stream", trigger=page
+                            )
+                    dropped = channel.abort_tag(burst_tag, t)
+                    self._m_abort_instream.inc()
+                    self._m_abort_instream_pages.inc(dropped)
+                    if self._dfp is not None and dropped:
+                        self._dfp.note_aborted(dropped)
+                    if observing:
+                        self._emit(EventKind.ABORT, t, t, page)
+                finish = channel.load_sync(page, LoadKind.DEMAND, t)
+                stats.time.fault_wait += finish - t
+                self._m_fault_wait_hist.observe(finish - t)
+                if observing:
+                    self._emit(
+                        EventKind.DEMAND_LOAD,
+                        finish - channel.load_cycles,
+                        finish,
+                        page,
+                    )
+                t = finish
+                if self._profiling:
+                    self._profiler.ledger_fault(
+                        page,
+                        t,
+                        "queued" if burst_tag is not None else "miss",
+                        preloader_active=(
+                            self._dfp is not None and self._dfp.active
+                        ),
+                    )
 
-        end = t + cost.eresume_cycles
-        stats.time.eresume += cost.eresume_cycles
-        if observing:
-            self._emit(EventKind.ERESUME, t, end)
-        self._touch(page, hit=False)
-        self._clock_hw = end
+            # The OS observed the fault: feed the predictor and schedule
+            # the predicted burst (it starts loading during the ERESUME).
+            if self._dfp is not None:
+                burst = self._dfp.on_fault(page)
+                if burst:
+                    pages = self._filter_burst(burst)
+                    if pages:
+                        if self.sanitizer is not None:
+                            self.sanitizer.check_enqueue(pages, t)
+                        channel.enqueue_preloads(pages, t)
+                        if self._profiling:
+                            self._profiler.ledger_enqueue(pages, t)
+
+            end = t + cost.eresume_cycles
+            stats.time.eresume += cost.eresume_cycles
+            if observing:
+                self._emit(EventKind.ERESUME, t, end)
+            code = status[page]
+            if not code:
+                raise EpcError(f"page {page} is not resident after its fault")
+            self._clock_hw = end
+        # The hardware sets the A bit; a preloaded page's first touch
+        # is a preload hit.
+        if not code & PAGE_ACCESSED:
+            if code & PAGE_PRELOADED:
+                stats.preload_hits += 1
+            status[page] = code | PAGE_ACCESSED
         return end
 
     def sip_prefetch(self, page: int, now: int) -> int:
@@ -568,7 +572,7 @@ class SgxDriver:
         at which the application continues (the following real access
         will then hit).
         """
-        if not self._enclave.contains_page(page):
+        if not self._base_page <= page < self._limit_page:
             raise SimulationError(
                 f"SIP notification for page {page} outside ELRANGE"
             )
@@ -581,13 +585,15 @@ class SgxDriver:
         stats.time.sip_check += cost.bitmap_check_cycles
         if self._observing:
             self._emit(EventKind.SIP_CHECK, now, t, page)
-        self.channel.advance_to(t)
+        channel = self.channel
+        if t >= channel.due:
+            channel.advance_to(t)
         if self.bitmap.check(page):
             stats.sip_check_hits += 1
             self._clock_hw = t
             return t
-        if self.channel.current_page == page:
-            finish = self.channel.wait_for_current(t)
+        if channel.current_page == page:
+            finish = channel.wait_for_current(t)
             stats.time.sip_wait += finish - t
             self._m_sip_wait_hist.observe(finish - t)
             if self._observing:
@@ -595,7 +601,7 @@ class SgxDriver:
             self._clock_hw = finish
             return finish
         stats.sip_loads += 1
-        finish = self.channel.load_sync(page, LoadKind.SIP, t)
+        finish = channel.load_sync(page, LoadKind.SIP, t)
         finish += cost.notification_cycles
         stats.time.sip_wait += finish - t
         self._m_sip_wait_hist.observe(finish - t)

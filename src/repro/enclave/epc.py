@@ -16,8 +16,9 @@ This module models the EPC as a fixed pool of frames plus, for every
   service-thread scan credits the page as a correct preload.  This is
   the per-page state behind the paper's ``PreloadedPageList``.
 
-Storage layout: both bits live in one **status byte per page** of the
-registered address space (:attr:`Epc.status_table`), as a bit field:
+Storage layout: residency and both bits live in one **status byte per
+page** of the registered address space (:attr:`Epc.status_table`), as a
+bit field:
 
 ==============  =====  ===========================================
 constant        value  meaning
@@ -35,15 +36,17 @@ whether or not the page was touched before — and lets the service
 thread's scan count preload credits and age every accessed bit with
 C-level ``count``/``translate`` passes over the whole table.
 
-:class:`EpcPageState` is a *view* over one page's status byte — reads
-and writes through its ``accessed``/``preloaded`` properties go
-straight to the table, so code holding a state object and code
-scanning the table can never disagree.
+The status byte is the EPC's only residency store: beside it the
+:class:`Epc` keeps just the resident count.  :meth:`Epc.is_resident`
+reads the byte, :meth:`Epc.evict` returns the victim's final byte, and
+:meth:`Epc.state_of` builds an :class:`EpcPageState` — a *view* whose
+``accessed``/``preloaded`` properties read and write the byte — only
+when a caller asks for one.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Optional
+from typing import Iterator
 
 from repro.errors import EpcError
 
@@ -64,36 +67,19 @@ PAGE_PRELOADED = 4
 
 
 class EpcPageState:
-    """Per-resident-page metadata.
+    """A live view of one resident page's status byte.
 
     ``accessed`` mirrors the page-table A bit; ``preloaded`` marks pages
     brought in speculatively and not yet credited by the scan thread.
-
-    Instances returned by :meth:`Epc.insert` / :meth:`Epc.lookup` /
-    :meth:`Epc.state_of` are live views over the EPC's status table:
-    mutations through the properties update the table, and table
-    updates are visible through the properties.  :meth:`Epc.evict`
-    returns a *detached* copy holding the page's final bits.
+    :meth:`Epc.state_of` builds one on demand: reads and writes through
+    the properties go straight to the status table.
     """
 
     __slots__ = ("_table", "_index")
 
-    def __init__(self, accessed: bool = False, preloaded: bool = False) -> None:
-        code = (
-            PAGE_RESIDENT
-            | (PAGE_ACCESSED if accessed else 0)
-            | (PAGE_PRELOADED if preloaded else 0)
-        )
-        self._table = bytearray((code,))
-        self._index = 0
-
-    @classmethod
-    def _view(cls, table: bytearray, index: int) -> "EpcPageState":
-        """A live view of ``table[index]`` (internal to :class:`Epc`)."""
-        state = object.__new__(cls)
-        state._table = table
-        state._index = index
-        return state
+    def __init__(self, table: bytearray, index: int) -> None:
+        self._table = table
+        self._index = index
 
     @property
     def accessed(self) -> bool:
@@ -123,14 +109,6 @@ class EpcPageState:
         else:
             self._table[self._index] = code & ~PAGE_PRELOADED
 
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, EpcPageState):
-            return (self.accessed, self.preloaded) == (
-                other.accessed,
-                other.preloaded,
-            )
-        return NotImplemented
-
     def __repr__(self) -> str:
         return (
             f"EpcPageState(accessed={self.accessed}, "
@@ -152,11 +130,11 @@ class Epc:
         if capacity <= 0:
             raise EpcError(f"EPC capacity must be positive, got {capacity}")
         self._capacity = capacity
-        self._resident: Dict[int, EpcPageState] = {}
-        # Source of truth for the per-page bits: one status byte per
-        # page of the covered address space (grown, never rebound, so
-        # bound references like ``table.__getitem__`` stay valid).
+        # The only residency store: one status byte per page of the
+        # covered address space (grown, never rebound, so bound
+        # references like ``table.__getitem__`` stay valid).
         self._status = bytearray()
+        self._count = 0
         # Lifetime counters, exposed for stats and invariant tests.
         self.total_inserts = 0
         self.total_evictions = 0
@@ -173,59 +151,35 @@ class Epc:
     @property
     def resident_count(self) -> int:
         """Number of pages currently resident."""
-        return len(self._resident)
+        return self._count
 
     @property
     def free_frames(self) -> int:
         """Number of frames currently unoccupied."""
-        return self._capacity - len(self._resident)
+        return self._capacity - self._count
 
     @property
     def is_full(self) -> bool:
         """True when an insert would require an eviction first."""
-        return len(self._resident) >= self._capacity
+        return self._count >= self._capacity
 
     def is_resident(self, page: int) -> bool:
         """True if virtual ``page`` currently occupies an EPC frame."""
-        return page in self._resident
-
-    def lookup(self, page: int) -> Optional[EpcPageState]:
-        """The metadata of ``page`` if resident, else ``None``.
-
-        One dictionary probe combining :meth:`is_resident` and
-        :meth:`state_of` — the driver's access fast path runs this
-        once per page touch, which is once per simulated event.
-        """
-        return self._resident.get(page)
+        return 0 <= page < len(self._status) and self._status[page] != PAGE_ABSENT
 
     def state_of(self, page: int) -> EpcPageState:
-        """Return the metadata of a resident page.
+        """A live view of a resident page's bits.
 
         Raises :class:`EpcError` for non-resident pages: callers must
         check residency first, mirroring the driver's own flow.
         """
-        try:
-            return self._resident[page]
-        except KeyError:
-            raise EpcError(f"page {page} is not resident") from None
+        if not self.is_resident(page):
+            raise EpcError(f"page {page} is not resident")
+        return EpcPageState(self._status, page)
 
     def resident_pages(self) -> Iterator[int]:
-        """Iterate over the resident page numbers (scan-thread view)."""
-        return iter(self._resident)
-
-    @property
-    def resident_map(self) -> Dict[int, EpcPageState]:
-        """The live page → :class:`EpcPageState` residency table.
-
-        Exposed for bulk membership checks (e.g. the driver's burst
-        filter): one bound lookup on this dict replaces a ``lookup``
-        call per page.  The dict object is stable for the EPC's
-        lifetime (it is mutated, never rebound).  Callers must treat
-        it as read-only — residency changes go through
-        :meth:`insert`/:meth:`evict` so the lifetime counters and the
-        evictor stay consistent.
-        """
-        return self._resident
+        """Iterate over the resident page numbers, in page order."""
+        return (page for page, code in enumerate(self._status) if code)
 
     @property
     def status_table(self) -> bytearray:
@@ -235,10 +189,10 @@ class Epc:
         non-resident page of the covered span, else one of the four
         resident codes.  The object is grown in place and never
         rebound, so hot paths may hold it (or a bound
-        ``__getitem__``) across residency changes.  Only the driver,
-        the evictor and the platform scan write through it; everything
-        else mutates bits via :class:`EpcPageState` views or the
-        ``mark``/``clear`` helpers, which edit the same bytes.
+        ``__getitem__``) across residency changes.  Residency changes
+        go through :meth:`insert`/:meth:`evict`, which keep the
+        resident count; the driver, the evictor and the platform scan
+        edit only the accessed and preloaded bits in place.
         """
         return self._status
 
@@ -255,7 +209,7 @@ class Epc:
     # Mutations
     # ------------------------------------------------------------------
 
-    def insert(self, page: int, *, preloaded: bool = False) -> EpcPageState:
+    def insert(self, page: int, *, preloaded: bool = False) -> None:
         """Load ``page`` into a free frame (the ELDU/ELDB effect).
 
         Raises :class:`EpcError` if the EPC is full (the driver must
@@ -265,38 +219,34 @@ class Epc:
         """
         if page < 0:
             raise EpcError(f"page numbers must be non-negative, got {page}")
-        if page in self._resident:
+        status = self._status
+        covered = page < len(status)
+        if covered and status[page]:
             raise EpcError(f"page {page} is already resident")
         if self.is_full:
             raise EpcError("EPC is full; evict a page before inserting")
-        if page >= len(self._status):
+        if not covered:
             self.ensure_page_span(page + 1)
-        self._status[page] = (
+        status[page] = (
             PAGE_RESIDENT | PAGE_PRELOADED if preloaded else PAGE_RESIDENT
         )
-        state = EpcPageState._view(self._status, page)
-        self._resident[page] = state
+        self._count += 1
         self.total_inserts += 1
-        return state
 
-    def evict(self, page: int) -> EpcPageState:
+    def evict(self, page: int) -> int:
         """Evict ``page`` to untrusted memory (the EWB effect).
 
-        Returns a detached snapshot of the evicted page's final
-        metadata so the caller can account for evicted-before-use
-        preloads after the table slot is cleared.
+        Returns the page's final status byte, so the caller can account
+        for evicted-before-use preloads after the table slot is cleared.
         """
-        try:
-            del self._resident[page]
-        except KeyError:
-            raise EpcError(f"cannot evict non-resident page {page}") from None
-        code = self._status[page]
-        self._status[page] = PAGE_ABSENT
+        status = self._status
+        code = status[page] if 0 <= page < len(status) else PAGE_ABSENT
+        if code == PAGE_ABSENT:
+            raise EpcError(f"cannot evict non-resident page {page}")
+        status[page] = PAGE_ABSENT
+        self._count -= 1
         self.total_evictions += 1
-        return EpcPageState(
-            accessed=bool(code & PAGE_ACCESSED),
-            preloaded=bool(code & PAGE_PRELOADED),
-        )
+        return code
 
     def mark_accessed(self, page: int) -> EpcPageState:
         """Set the accessed bit of a resident page (hardware A-bit)."""

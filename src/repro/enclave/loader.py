@@ -28,12 +28,17 @@ still-healthy streams.
 from __future__ import annotations
 
 import enum
+import sys
 from collections import deque
 from typing import Callable, Deque, Dict, Optional, Sequence, Tuple
 
 from repro.errors import ChannelError
 
-__all__ = ["LoadChannel", "LoadKind"]
+__all__ = ["IDLE_DUE", "LoadChannel", "LoadKind"]
+
+#: :attr:`LoadChannel.due` of an idle channel: later than any simulated
+#: time, so nothing is ever due on it.
+IDLE_DUE = sys.maxsize
 
 
 class LoadKind(enum.Enum):
@@ -62,6 +67,12 @@ class LoadChannel:
     All methods take ``now`` (virtual cycles) and require time to be
     monotonically non-decreasing across calls, which the simulation
     engine guarantees.
+
+    :attr:`due` is the earliest time at which :meth:`advance_to` can
+    change anything: the in-flight load's finish, ``0`` while a queued
+    load waits to be promoted to in-flight, or :data:`IDLE_DUE` when
+    nothing is in flight or queued.  Every mutator keeps it current, so
+    callers skip ``advance_to(now)`` whenever ``now < due``.
     """
 
     def __init__(
@@ -85,6 +96,7 @@ class LoadChannel:
         self._queue: Deque[Tuple[int, int]] = deque()  # (page, burst tag)
         self._queued_tag: Dict[int, int] = {}
         self._next_tag = 0
+        self.due = IDLE_DUE
         # Lifetime counters (stats/invariants).
         self.demand_loads = 0
         self.sip_loads = 0
@@ -105,11 +117,6 @@ class LoadChannel:
     def current_page(self) -> Optional[int]:
         """Page of the in-flight load, or None when idle."""
         return self._current[0] if self._current else None
-
-    @property
-    def current_finish(self) -> Optional[int]:
-        """Finish time of the in-flight load, or None when idle."""
-        return self._current[2] if self._current else None
 
     @property
     def queued_pages(self) -> Tuple[int, ...]:
@@ -144,6 +151,7 @@ class LoadChannel:
             if self._current is not None:
                 page, kind, finish = self._current
                 if finish > now:
+                    self.due = finish
                     return
                 self._current = None
                 if kind is LoadKind.PRELOAD:
@@ -156,6 +164,7 @@ class LoadChannel:
                 finish = self._free_at + self._load_cycles
                 self._current = (page, LoadKind.PRELOAD, finish)
             else:
+                self.due = IDLE_DUE
                 return
 
     def enqueue_preloads(self, pages: Sequence[int], now: int) -> int:
@@ -176,8 +185,10 @@ class LoadChannel:
                 raise ChannelError(f"page {page} is already queued")
         if self._current is None and not self._queue:
             # Channel idle: background work starts now, not at the
-            # stale _free_at left over from the previous load.
+            # stale _free_at left over from the previous load.  The
+            # first page waits for the next advance_to to promote it.
             self._free_at = max(self._free_at, now)
+            self.due = 0
         for page in pages:
             self._queue.append((page, tag))
             self._queued_tag[page] = tag
@@ -245,6 +256,7 @@ class LoadChannel:
             return now
         page, kind, finish = self._current
         self._current = None
+        self.due = 0 if self._queue else IDLE_DUE
         if kind is LoadKind.PRELOAD:
             self.preloads_completed += 1
         evicted = self._apply(page, kind, finish)

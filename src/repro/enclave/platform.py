@@ -82,7 +82,9 @@ class SharedPlatform:
         # completion, so it must not scan linearly over the fleet.
         self._owners: List[Tuple[int, int, "SgxDriver"]] = []
         self._bases: List[int] = []
-        self._next_scan = config.scan_period_cycles
+        #: Time of the next service-thread scan.  Before both it and
+        #: ``channel.due`` a :meth:`poll` has nothing to do.
+        self.next_scan = config.scan_period_cycles
         self._last_now = 0
         #: Optional per-tenant frame policy (:class:`FrameManager`).
         #: ``None`` — the default for every solo run and the legacy
@@ -139,7 +141,13 @@ class SharedPlatform:
 
     def _on_load(self, page: int, kind: LoadKind, finish: int) -> bool:
         """Channel callback: route the landing to the owning driver."""
-        owner = self.owner_of(page)
+        owners = self._owners
+        if len(owners) == 1:
+            lo, hi, owner = owners[0]
+            if not lo <= page < hi:
+                owner = None
+        else:
+            owner = self.owner_of(page)
         if owner is None:
             raise SimulationError(f"load completed for unowned page {page}")
         return owner._apply_load(page, kind, finish)
@@ -150,17 +158,11 @@ class SharedPlatform:
 
     def next_wakeup(self) -> int:
         """Next scan or channel landing; kept because ``perfbench/layers.py`` wraps it."""
-        horizon = self._next_scan
         channel = self.channel
-        current = channel._current
-        if current is not None:
-            if current[2] < horizon:
-                return current[2]
-        elif channel._queue:
-            completion = channel._free_at + channel._load_cycles
-            if completion < horizon:
-                return completion
-        return horizon
+        landing = channel.due
+        if landing == 0:  # the queued head lands one load after the channel frees
+            landing = channel._free_at + channel.load_cycles
+        return min(self.next_scan, landing)
 
     def poll(self, now: int) -> None:
         """Advance scans and the channel to ``now`` (global time)."""
@@ -171,11 +173,11 @@ class SharedPlatform:
             # moves forward.
             now = self._last_now
         self._last_now = now
-        while self._next_scan <= now:
-            scan_time = self._next_scan
+        while self.next_scan <= now:
+            scan_time = self.next_scan
             self.channel.advance_to(scan_time)
             self._scan(scan_time)
-            self._next_scan += self._config.scan_period_cycles
+            self.next_scan += self._config.scan_period_cycles
         self.channel.advance_to(now)
 
     def _scan(self, now: int) -> None:

@@ -2,7 +2,12 @@
 
 import pytest
 
-from repro.enclave.epc import Epc
+from repro.enclave.epc import (
+    PAGE_ACCESSED,
+    PAGE_PRELOADED,
+    PAGE_RESIDENT,
+    Epc,
+)
 from repro.errors import EpcError
 
 
@@ -67,20 +72,35 @@ class TestInsertEvict:
         epc = Epc(2)
         epc.insert(0, preloaded=True)
         epc.mark_accessed(0)
-        state = epc.evict(0)
-        assert state.preloaded and state.accessed
+        code = epc.evict(0)
+        assert code == PAGE_RESIDENT | PAGE_ACCESSED | PAGE_PRELOADED
+        assert epc.status_table[0] == 0
+
+    def test_is_resident_outside_the_span_is_false(self):
+        """``status[-1]`` would read the last byte; residency must not."""
+        epc = Epc(4)
+        epc.ensure_page_span(8)
+        epc.insert(7)
+        assert epc.is_resident(7)
+        assert not epc.is_resident(-1)
+        assert not epc.is_resident(8)
+        assert not epc.is_resident(1_000)
 
 
 class TestFlags:
     def test_insert_clears_accessed(self):
         epc = Epc(2)
-        state = epc.insert(3)
-        assert not state.accessed
+        assert epc.insert(3) is None
+        assert epc.status_table[3] == PAGE_RESIDENT
+        assert not epc.state_of(3).accessed
 
     def test_preloaded_flag_set_on_preload_insert(self):
         epc = Epc(2)
-        assert epc.insert(3, preloaded=True).preloaded
-        assert not epc.insert(4).preloaded
+        epc.insert(3, preloaded=True)
+        epc.insert(4)
+        assert epc.status_table[3] == PAGE_RESIDENT | PAGE_PRELOADED
+        assert epc.state_of(3).preloaded
+        assert not epc.state_of(4).preloaded
 
     def test_mark_and_clear_accessed(self):
         epc = Epc(2)

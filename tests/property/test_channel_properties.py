@@ -1,20 +1,21 @@
 """Property-based tests: load-channel timing invariants.
 
-A random interleaving of enqueues, demand loads, aborts and advances
-must preserve: monotone application order, the per-load duration, and
-conservation of preload counts (enqueued = completed + aborted +
-still-pending).
+A random interleaving of enqueues, demand loads, aborts, waits and
+advances must preserve: monotone application order, the per-load
+duration, conservation of preload counts (enqueued = completed +
+aborted + still-pending), and the meaning of ``due`` — the earliest
+time at which ``advance_to`` can change anything.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.enclave.loader import LoadChannel, LoadKind
+from repro.enclave.loader import IDLE_DUE, LoadChannel, LoadKind
 
 LOAD = 44_000
 
 # Operations: ("preload", [pages]) | ("demand", page) | ("advance", dt)
-#             | ("abort_all",)
+#             | ("abort_all",) | ("abort_tag", burst index) | ("wait",)
 ops = st.lists(
     st.one_of(
         st.tuples(
@@ -26,6 +27,8 @@ ops = st.lists(
         st.tuples(st.just("demand"), st.integers(min_value=0, max_value=500)),
         st.tuples(st.just("advance"), st.integers(min_value=0, max_value=200_000)),
         st.tuples(st.just("abort_all")),
+        st.tuples(st.just("abort_tag"), st.integers(min_value=0, max_value=20)),
+        st.tuples(st.just("wait")),
     ),
     min_size=1,
     max_size=60,
@@ -41,11 +44,13 @@ class Tracker:
         return False
 
 
-def run_ops(op_list):
+def run_ops(op_list, after_op=None):
+    """Apply ``op_list`` to a fresh channel; ``after_op(chan, tracker,
+    now)`` runs after every operation."""
     tracker = Tracker()
     chan = LoadChannel(LOAD, tracker)
     now = 0
-    queued = set()
+    tags = []
     for op in op_list:
         if op[0] == "preload":
             pages = [
@@ -54,15 +59,21 @@ def run_ops(op_list):
                 if not chan.is_queued(p) and chan.current_page != p
             ]
             if pages:
-                chan.enqueue_preloads(pages, now)
-                queued.update(pages)
+                tags.append(chan.enqueue_preloads(pages, now))
         elif op[0] == "demand":
             now = chan.load_sync(op[1], LoadKind.DEMAND, now)
         elif op[0] == "advance":
             now += op[1]
             chan.advance_to(now)
+        elif op[0] == "abort_tag":
+            if tags:
+                chan.abort_tag(tags[op[1] % len(tags)], now)
+        elif op[0] == "wait":
+            now = chan.wait_for_current(now)
         else:
             chan.abort_all(now)
+        if after_op is not None:
+            after_op(chan, tracker, now)
     return chan, tracker, now
 
 
@@ -116,3 +127,43 @@ def test_no_page_applied_twice_while_tracked(op_list):
         if page in last_finish:
             assert finish > last_finish[page]
         last_finish[page] = finish
+
+
+def _observable(chan, tracker):
+    return (
+        chan.due,
+        chan.current_page,
+        chan.queued_pages,
+        chan._free_at,
+        chan.demand_loads,
+        chan.sip_loads,
+        chan.preloads_enqueued,
+        chan.preloads_completed,
+        chan.preloads_aborted,
+        len(tracker.applied),
+    )
+
+
+def _check_due(chan, tracker, now):
+    current = chan._current
+    if current is not None:
+        assert chan.due == current[2]
+    elif chan.queued_pages:
+        assert chan.due == 0
+    else:
+        assert chan.due == IDLE_DUE
+    if chan.due > 0:
+        # The latest time before ``due`` — and so every earlier one —
+        # must find nothing to do.
+        before = _observable(chan, tracker)
+        chan.advance_to(chan.due - 1)
+        assert _observable(chan, tracker) == before
+
+
+@given(ops)
+@settings(max_examples=200)
+def test_due_is_the_earliest_time_advance_changes_anything(op_list):
+    """``due`` is the in-flight finish, 0 while a queued load waits to be
+    promoted, or the idle sentinel; advancing to any time before it
+    leaves every observable of the channel unchanged."""
+    run_ops(op_list, after_op=_check_due)
