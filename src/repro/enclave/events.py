@@ -13,12 +13,18 @@ only the most recent ``event_capacity`` of them and counts the rest in
 ``SgxDriver.events_dropped``.  Arbitrary additional consumers (JSONL
 streams, the Chrome trace exporter) attach through the driver's
 ``tracer`` sink — see :mod:`repro.obs.trace`.
+
+An event is a named tuple, the cheapest record Python builds: the
+driver makes one per interval while any sink listens.  Nothing formats
+it on the way: the sanitizer's event tail keeps the raw ``(kind,
+start, end, page)`` values and turns them into text only when a check
+fails or the tail is read.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
 
 __all__ = ["EventKind", "TimelineEvent"]
 
@@ -39,8 +45,7 @@ class EventKind(enum.Enum):
     SCAN = "scan"
 
 
-@dataclass(frozen=True)
-class TimelineEvent:
+class TimelineEvent(NamedTuple):
     """One interval on the virtual-cycle timeline.
 
     ``start`` and ``end`` are virtual cycle stamps; ``page`` is -1 for

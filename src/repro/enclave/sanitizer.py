@@ -28,12 +28,18 @@ numbers (the integration suite asserts this).  A violation raises
 :class:`~repro.errors.SanitizerError` carrying the tail of the event
 trace (a bounded ring buffer, recorded even when full event recording
 is off) so the offending sequence is visible in the failure itself.
+
+A clean run pays for no text it never shows: each check is a plain
+condition whose message is formatted only when it fails, and the ring
+buffer holds raw event and note values that are formatted only when
+:attr:`SimSanitizer.trace_tail` is read or a ``SanitizerError`` is
+raised.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Iterable, Optional, TYPE_CHECKING
+from typing import Deque, Iterable, TYPE_CHECKING
 
 from repro.enclave.events import EventKind
 from repro.errors import SanitizerError
@@ -47,6 +53,19 @@ __all__ = ["SimSanitizer", "TRACE_TAIL_LENGTH"]
 
 #: How many trailing trace entries a :class:`SanitizerError` carries.
 TRACE_TAIL_LENGTH = 24
+
+
+# Trace-tail lines.  The ring buffer stores ``(line, *values)`` and
+# calls ``line(*values)`` only when the tail is read.
+_ENQUEUE = "[{}] enqueue burst {}".format
+_ABORT = "[{}] abort drops {}".format
+_SCAN = "[{}] scan: PreloadCounter={} AccPreloadCounter={}".format
+_END = "[{}] run end".format
+
+
+def _event_line(kind: EventKind, start: int, end: int, page: int) -> str:
+    suffix = f" page={page}" if page >= 0 else ""
+    return f"[{start}..{end}] {kind.value}{suffix}"
 
 
 class SimSanitizer:
@@ -63,7 +82,7 @@ class SimSanitizer:
         self._epc = epc
         self._channel = channel
         self._label = label
-        self._trace: Deque[str] = deque(maxlen=trace_length)
+        self._trace: Deque[tuple] = deque(maxlen=trace_length)
         # High-water marks for the monotonicity checks.
         self._last_preload_counter = 0
         self._last_acc_counter = 0
@@ -79,30 +98,22 @@ class SimSanitizer:
 
     @property
     def trace_tail(self) -> "tuple[str, ...]":
-        """Snapshot of the recorded event tail (oldest first)."""
-        return tuple(self._trace)
+        """The recorded event tail as text (oldest first)."""
+        return tuple(line(*values) for line, *values in self._trace)
 
     def record_event(
         self, kind: EventKind, start: int, end: int, page: int = -1
     ) -> None:
         """Record one driver timeline event into the ring buffer."""
-        suffix = f" page={page}" if page >= 0 else ""
-        self._trace.append(f"[{start}..{end}] {kind.value}{suffix}")
+        self._trace.append((_event_line, kind, start, end, page))
 
-    def note(self, entry: str) -> None:
-        """Record a sanitizer-internal trace entry (scans, enqueues)."""
-        self._trace.append(entry)
-
-    def _fail(self, message: str) -> None:
+    def _fail(self, evaluated: int, message: str) -> None:
+        """Count a hook's checks up to its ``evaluated``-th, which failed; raise."""
+        self.checks += evaluated
         self.violations += 1
         if self._label:
             message = f"{self._label}: {message}"
-        raise SanitizerError(message, trace=self._trace)
-
-    def _check(self, ok: bool, message: str) -> None:
-        self.checks += 1
-        if not ok:
-            self._fail(message)
+        raise SanitizerError(message, trace=self.trace_tail)
 
     # ------------------------------------------------------------------
     # Hooks (driven by SgxDriver / the engine)
@@ -110,86 +121,101 @@ class SimSanitizer:
 
     def check_enqueue(self, pages: Iterable[int], now: int) -> None:
         """A predicted burst is about to be queued for preloading."""
-        pages = tuple(pages)
-        self.note(f"[{now}] enqueue burst {list(pages)}")
+        pages = list(pages)
+        self._trace.append((_ENQUEUE, now, pages))
+        epc = self._epc
+        channel = self._channel
         for page in pages:
-            self._check(
-                not self._epc.is_resident(page),
-                f"page {page} enqueued for preload at t={now} while already "
-                "resident in the EPC (burst filtering is broken)",
-            )
-            self._check(
-                self._channel.current_page != page,
-                f"page {page} enqueued for preload at t={now} while already "
-                "in flight on the load channel",
-            )
-            self._check(
-                not self._channel.is_queued(page),
-                f"page {page} enqueued for preload at t={now} while already "
-                "queued on the load channel",
-            )
+            if epc.is_resident(page):
+                self._fail(
+                    1,
+                    f"page {page} enqueued for preload at t={now} while "
+                    "already resident in the EPC (burst filtering is broken)",
+                )
+            if channel.current_page == page:
+                self._fail(
+                    2,
+                    f"page {page} enqueued for preload at t={now} while "
+                    "already in flight on the load channel",
+                )
+            if channel.is_queued(page):
+                self._fail(
+                    3,
+                    f"page {page} enqueued for preload at t={now} while "
+                    "already queued on the load channel",
+                )
+            self.checks += 3
 
     def check_load(self, page: int, kind: "LoadKind", finish: int) -> None:
         """One page load just landed in the EPC."""
-        self._check(
-            self._epc.resident_count <= self._epc.capacity,
-            f"EPC over-committed after loading page {page} at t={finish}: "
-            f"{self._epc.resident_count} resident pages > capacity "
-            f"{self._epc.capacity}",
-        )
-        self._check(
-            self._epc.is_resident(page),
-            f"{kind.value} load of page {page} completed at t={finish} but "
-            "the page is not resident",
-        )
-        self._check(
-            not self._channel.is_queued(page),
-            f"page {page} is resident and still queued on the load channel "
-            f"at t={finish}",
-        )
+        epc = self._epc
+        if epc.resident_count > epc.capacity:
+            self._fail(
+                1,
+                f"EPC over-committed after loading page {page} at t={finish}: "
+                f"{epc.resident_count} resident pages > capacity {epc.capacity}",
+            )
+        if not epc.is_resident(page):
+            self._fail(
+                2,
+                f"{kind.value} load of page {page} completed at t={finish} but "
+                "the page is not resident",
+            )
+        if self._channel.is_queued(page):
+            self._fail(
+                3,
+                f"page {page} is resident and still queued on the load channel "
+                f"at t={finish}",
+            )
+        self.checks += 3
 
     def check_redundant_preload(self, page: int, finish: int) -> None:
         """A speculative load landed on an already-resident page."""
         self._fail(
+            0,
             f"preload of page {page} completed at t={finish} for a page "
             "that is already resident — it was enqueued without filtering "
-            "or a demand load raced past the in-stream abort"
+            "or a demand load raced past the in-stream abort",
         )
 
     def check_abort(self, pages: Iterable[int], now: int) -> None:
         """Queued preloads are about to be dropped by an abort."""
-        pages = tuple(pages)
-        self.note(f"[{now}] abort drops {list(pages)}")
+        pages = list(pages)
+        self._trace.append((_ABORT, now, pages))
+        epc = self._epc
         for page in pages:
-            self._check(
-                not self._epc.is_resident(page),
-                f"abort at t={now} would cancel page {page}, which is "
-                "already loaded into the EPC; aborts may only drop queued "
-                "(not-yet-started) preloads",
-            )
+            if epc.is_resident(page):
+                self._fail(
+                    1,
+                    f"abort at t={now} would cancel page {page}, which is "
+                    "already loaded into the EPC; aborts may only drop "
+                    "queued (not-yet-started) preloads",
+                )
+            self.checks += 1
 
     def check_counters(self, preload_counter: int, acc_counter: int, now: int) -> None:
         """The service-thread scan just updated the valve counters."""
-        self.note(
-            f"[{now}] scan: PreloadCounter={preload_counter} "
-            f"AccPreloadCounter={acc_counter}"
-        )
-        self._check(
-            preload_counter >= self._last_preload_counter,
-            f"PreloadCounter decreased at t={now}: "
-            f"{self._last_preload_counter} -> {preload_counter}",
-        )
-        self._check(
-            acc_counter >= self._last_acc_counter,
-            f"AccPreloadCounter decreased at t={now}: "
-            f"{self._last_acc_counter} -> {acc_counter}",
-        )
-        self._check(
-            acc_counter <= preload_counter,
-            f"AccPreloadCounter {acc_counter} exceeds PreloadCounter "
-            f"{preload_counter} at t={now}: more preloads credited as "
-            "accessed than were ever completed",
-        )
+        self._trace.append((_SCAN, now, preload_counter, acc_counter))
+        if preload_counter < self._last_preload_counter:
+            self._fail(
+                1,
+                f"PreloadCounter decreased at t={now}: "
+                f"{self._last_preload_counter} -> {preload_counter}",
+            )
+        if acc_counter < self._last_acc_counter:
+            self._fail(
+                2,
+                f"AccPreloadCounter decreased at t={now}: "
+                f"{self._last_acc_counter} -> {acc_counter}",
+            )
+        if acc_counter > preload_counter:
+            self._fail(
+                3,
+                f"AccPreloadCounter {acc_counter} exceeds PreloadCounter "
+                f"{preload_counter} at t={now}: more preloads credited as "
+                "accessed than were ever completed",
+            )
+        self.checks += 3
         self._last_preload_counter = preload_counter
         self._last_acc_counter = acc_counter
 
@@ -201,24 +227,30 @@ class SimSanitizer:
         mutated at access boundaries, where they equal the clock).
         """
         total = stats.time.total
-        self._check(
-            total == clock,
-            f"cycle accounting drifted at scan t={now}: buckets sum to "
-            f"{total} but the application clock reads {clock} "
-            f"(delta {total - clock:+d})",
-        )
+        if total != clock:
+            self._fail(
+                1,
+                f"cycle accounting drifted at scan t={now}: buckets sum to "
+                f"{total} but the application clock reads {clock} "
+                f"(delta {total - clock:+d})",
+            )
+        self.checks += 1
 
     def check_final(self, stats: "RunStats", clock: int) -> None:
         """End-of-run sweep once the driver has drained."""
-        self.note(f"[{clock}] run end")
+        self._trace.append((_END, clock))
         self.check_tick(stats, clock, clock)
-        self._check(
-            self._epc.resident_count <= self._epc.capacity,
-            f"EPC over-committed at run end: {self._epc.resident_count} "
-            f"resident pages > capacity {self._epc.capacity}",
-        )
-        self._check(
-            stats.preloads_aborted <= stats.preloads_enqueued,
-            f"more preloads aborted ({stats.preloads_aborted}) than were "
-            f"ever enqueued ({stats.preloads_enqueued})",
-        )
+        epc = self._epc
+        if epc.resident_count > epc.capacity:
+            self._fail(
+                1,
+                f"EPC over-committed at run end: {epc.resident_count} "
+                f"resident pages > capacity {epc.capacity}",
+            )
+        if stats.preloads_aborted > stats.preloads_enqueued:
+            self._fail(
+                2,
+                f"more preloads aborted ({stats.preloads_aborted}) than were "
+                f"ever enqueued ({stats.preloads_enqueued})",
+            )
+        self.checks += 2

@@ -45,14 +45,21 @@ boundary is attributed to the window it began in).  The run's tail —
 including the channel drain performed by ``driver.finish`` — lands in
 one final window closing at ``end_cycles``, which is what makes the
 per-window sums reconcile exactly with the end-of-run aggregates.
+
+The sampler defers its work to export.  A window close only appends
+one cumulative snapshot per tenant and one fleet-wide snapshot;
+:meth:`FleetTelemetry.block` keeps the snapshots that bound its at
+most 128 exported windows and differences those alone, so nothing is
+computed per window that the block will not show.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    Dict, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple,
+)
 
 from repro.errors import ObsError
 from repro.obs.metrics import histogram_quantile
@@ -74,14 +81,10 @@ FLEET_TIMESERIES_SCHEMA = "repro.fleet-timeseries/1"
 #: Schema identifier of an SLO evaluation document.
 FLEET_SLO_SCHEMA = "repro.fleet-slo/1"
 
-#: Export cap: coarsen (pairwise-merge) windows until at most this
-#: many remain, so the embedded block stays readable and bounded no
-#: matter how long the scenario ran.
+#: Export cap: coarsen windows until at most this many remain, so the
+#: embedded block stays readable and bounded no matter how long the
+#: scenario ran.
 _MAX_EXPORT_WINDOWS = 128
-
-
-def _first(first, _later):
-    return first
 
 
 def _last(_first, later):
@@ -89,43 +92,44 @@ def _last(_first, later):
 
 
 def _add_buckets(first: List[int], later: List[int]) -> List[int]:
-    """Sum two windows' bucket deltas (``[]``: no histogram bound yet)."""
+    """Sum two bucket-delta lists (``[]``: no histogram bound yet)."""
     if first and later:
         return [a + b for a, b in zip(first, later)]
     return first or later
 
 
-#: How two adjacent windows merge, series by series: deltas add,
-#: sampled gauges keep the later window's close and wait-histogram
-#: bucket deltas add, so every reconciliation identity and per-window
-#: quantile survives a merge; the merged window starts where the first
-#: one did.
-_FLEET_MERGE = (
-    ("_w_start", _first),
-    ("_w_end", _last),
-    ("_f_epc", _last),
-    ("_f_queue", _last),
-    ("_f_active", _last),
-    ("_f_truncated", _last),
-    ("_f_loads", operator.add),
-    ("_f_evictions", operator.add),
-)
-_TENANT_MERGE = (
-    ("accesses", operator.add),
-    ("faults", operator.add),
-    ("preloads", operator.add),
-    ("wait_cycles", operator.add),
-    ("wait_count", operator.add),
-    ("buckets", _add_buckets),
-    ("overflow", operator.add),
-    ("resident", _last),
-    ("quota", _last),
-)
+class _Close(NamedTuple):
+    """Cumulative snapshots taken when one window closed.
+
+    ``fleet`` is ``(epc_resident, queue_depth, active, truncated,
+    channel_loads, evictions)``.  ``tenants`` holds one snapshot per
+    tenant — ``None`` before its admission, else ``(resident, quota,
+    accesses, faults, preloads_completed, wait_sum, wait_count,
+    overflow, *bucket_counts)`` — whose first two entries are gauges
+    and the rest running totals.
+    """
+
+    end: int
+    fleet: Tuple[int, ...]
+    tenants: List[Optional[Tuple[int, ...]]]
 
 
-def _fold_last(series: List, merge) -> List:
-    """Merge the last two windows of ``series``."""
-    return series[:-2] + [merge(series[-2], series[-1])]
+def _tenant_window(
+    origin: Tuple[int, ...],
+    before: Optional[Tuple[int, ...]],
+    after: Optional[Tuple[int, ...]],
+) -> tuple:
+    """One tenant's exported window between two of its snapshots.
+
+    Running totals are differenced and gauges read at the close, as
+    ``(resident, quota, accesses, faults, preloads, wait_cycles,
+    wait_count, overflow, buckets)``.  ``origin`` stands in for a
+    snapshot from before admission.
+    """
+    if after is None:
+        return (0, 0, 0, 0, 0, 0, 0, 0, [])
+    delta = [a - b for a, b in zip(after, before or origin)]
+    return (after[0], after[1], *delta[2:8], delta[8:])
 
 
 @dataclass(frozen=True)
@@ -216,16 +220,12 @@ class SloSpec:
 
 
 class _TenantSeries:
-    """One tenant's lifecycle record plus per-window accumulation."""
+    """One tenant's lifecycle record and its read ports."""
 
     __slots__ = (
         "index", "name", "scheme", "workload", "arrival",
         "queued_at", "admitted_at", "started_at", "departed_at", "truncated",
-        "port",
-        "last_accesses", "last_faults", "last_preloads",
-        "last_wait_sum", "last_wait_count", "last_buckets", "last_overflow",
-        "accesses", "faults", "preloads", "wait_cycles", "wait_count",
-        "buckets", "overflow", "resident", "quota",
+        "port", "origin",
     )
 
     def __init__(
@@ -243,24 +243,9 @@ class _TenantSeries:
         self.truncated = False
         # Live references, set at admission: (stats, wait_hist, driver).
         self.port = None
-        # Cumulative snapshot at the last window close.
-        self.last_accesses = 0
-        self.last_faults = 0
-        self.last_preloads = 0
-        self.last_wait_sum = 0
-        self.last_wait_count = 0
-        self.last_buckets: Optional[List[int]] = None
-        self.last_overflow = 0
-        # Per-window series (parallel arrays, one entry per window).
-        self.accesses: List[int] = []
-        self.faults: List[int] = []
-        self.preloads: List[int] = []
-        self.wait_cycles: List[int] = []
-        self.wait_count: List[int] = []
-        self.buckets: List[List[int]] = []
-        self.overflow: List[int] = []
-        self.resident: List[int] = []
-        self.quota: List[int] = []
+        # The snapshot a first window after admission is differenced
+        # against (the wait histogram may not start empty).
+        self.origin: Tuple[int, ...] = ()
 
 
 class FleetTelemetry:
@@ -291,18 +276,8 @@ class FleetTelemetry:
         self._truncated = 0
         self._next_boundary = 0
         self._end: Optional[int] = None
-        # Fleet-wide per-window series.
-        self._w_start: List[int] = []
-        self._w_end: List[int] = []
-        self._f_epc: List[int] = []
-        self._f_queue: List[int] = []
-        self._f_active: List[int] = []
-        self._f_truncated: List[int] = []
-        self._f_loads: List[int] = []
-        self._f_evictions: List[int] = []
-        # Channel cumulative snapshot at the last window close.
-        self._last_loads = 0
-        self._last_evictions = 0
+        # One entry per closed window; differenced only at export.
+        self._closes: List[_Close] = []
         self._rebalances: List[Dict[str, object]] = []
 
     # ------------------------------------------------------------------
@@ -351,8 +326,7 @@ class FleetTelemetry:
         tenant.port = (driver.stats, hist, driver)
         if self._bounds is None:
             self._bounds = tuple(hist.bounds)
-        tenant.last_buckets = list(hist.counts)
-        tenant.last_overflow = hist.overflow
+        tenant.origin = (0, 0, 0, 0, 0, 0, 0, hist.overflow, *hist.counts)
 
     def series_started(self, index: int, t: int) -> None:
         """Spin-up finished; the tenant's trace starts at ``t``."""
@@ -403,10 +377,13 @@ class FleetTelemetry:
         # including channel drain done by driver.finish — so the
         # per-window sums equal the end-of-run aggregates exactly.
         # When ``end`` is not past the last closed boundary, the tail
-        # closes with zero width and folds into the window before it.
-        self._close_window(max(end, self._w_end[-1] if self._w_end else 1))
-        if self._w_start[-1] == self._w_end[-1]:
-            self._remerge(_fold_last)
+        # would have zero width: its snapshot replaces that boundary's,
+        # which folds it into the window before it.
+        closes = self._closes
+        tail = max(end, closes[-1].end if closes else 1)
+        if closes and closes[-1].end == tail:
+            closes.pop()
+        self._close_window(tail)
         self._end = end
 
     # ------------------------------------------------------------------
@@ -414,90 +391,45 @@ class FleetTelemetry:
     # ------------------------------------------------------------------
 
     def _close_window(self, boundary: int) -> None:
-        start = self._w_end[-1] if self._w_end else 0
-        self._w_start.append(start)
-        self._w_end.append(boundary)
+        """Snapshot every running total and gauge at ``boundary``."""
         frames = self._frames
+        evictions = 0
+        snapshots: List[Optional[Tuple[int, ...]]] = []
         for tenant in self._tenants:
             port = tenant.port
             if port is None:
-                tenant.accesses.append(0)
-                tenant.faults.append(0)
-                tenant.preloads.append(0)
-                tenant.wait_cycles.append(0)
-                tenant.wait_count.append(0)
-                tenant.buckets.append([])
-                tenant.overflow.append(0)
-                tenant.resident.append(0)
-                tenant.quota.append(0)
+                snapshots.append(None)
                 continue
             stats, hist, driver = port
-            tenant.accesses.append(stats.accesses - tenant.last_accesses)
-            tenant.faults.append(stats.faults - tenant.last_faults)
-            tenant.preloads.append(
-                stats.preloads_completed - tenant.last_preloads
+            evictions += stats.evictions
+            snapshots.append(
+                (
+                    frames.resident_of(driver) if frames is not None else 0,
+                    frames.quota_of(driver) if frames is not None else 0,
+                    stats.accesses,
+                    stats.faults,
+                    stats.preloads_completed,
+                    hist.sum,
+                    hist.count,
+                    hist.overflow,
+                    *hist.counts,
+                )
             )
-            tenant.wait_cycles.append(hist.sum - tenant.last_wait_sum)
-            tenant.wait_count.append(hist.count - tenant.last_wait_count)
-            tenant.buckets.append(
-                [
-                    now - last
-                    for now, last in zip(hist.counts, tenant.last_buckets)
-                ]
-            )
-            tenant.overflow.append(hist.overflow - tenant.last_overflow)
-            tenant.last_accesses = stats.accesses
-            tenant.last_faults = stats.faults
-            tenant.last_preloads = stats.preloads_completed
-            tenant.last_wait_sum = hist.sum
-            tenant.last_wait_count = hist.count
-            tenant.last_buckets = list(hist.counts)
-            tenant.last_overflow = hist.overflow
-            if frames is not None:
-                tenant.resident.append(frames.resident_of(driver))
-                tenant.quota.append(frames.quota_of(driver))
-            else:
-                tenant.resident.append(0)
-                tenant.quota.append(0)
         platform = self._platform
         channel = platform.channel
-        loads = (
-            channel.demand_loads + channel.sip_loads + channel.preloads_completed
+        fleet = (
+            platform.epc.resident_count,
+            len(self._waiting),
+            self._active,
+            self._truncated,
+            channel.demand_loads + channel.sip_loads + channel.preloads_completed,
+            evictions,
         )
-        evictions = sum(
-            t.port[0].evictions for t in self._tenants if t.port is not None
-        )
-        self._f_epc.append(platform.epc.resident_count)
-        self._f_queue.append(len(self._waiting))
-        self._f_active.append(self._active)
-        self._f_truncated.append(self._truncated)
-        self._f_loads.append(loads - self._last_loads)
-        self._f_evictions.append(evictions - self._last_evictions)
-        self._last_loads = loads
-        self._last_evictions = evictions
-
-    def _remerge(self, combine) -> None:
-        """Rewrite every window series as ``combine(series, merge)``."""
-        for name, merge in _FLEET_MERGE:
-            setattr(self, name, combine(getattr(self, name), merge))
-        for tenant in self._tenants:
-            for name, merge in _TENANT_MERGE:
-                setattr(tenant, name, combine(getattr(tenant, name), merge))
+        self._closes.append(_Close(boundary, fleet, snapshots))
 
     # ------------------------------------------------------------------
     # Export
     # ------------------------------------------------------------------
-
-    def _coarsen(self) -> int:
-        """Pairwise-merge windows in place until under the export cap.
-
-        Returns the number of merge passes performed.
-        """
-        passes = 0
-        while len(self._w_end) > _MAX_EXPORT_WINDOWS:
-            passes += 1
-            self._remerge(pairwise)
-        return passes
 
     def _window_p99(
         self, buckets: Sequence[int], overflow: int, count: int, total: int
@@ -516,13 +448,28 @@ class FleetTelemetry:
         return round(histogram_quantile(dump, 0.99), 3)
 
     def block(self) -> Dict[str, object]:
-        """The deterministic ``repro.fleet-timeseries/1`` block."""
+        """The deterministic ``repro.fleet-timeseries/1`` block.
+
+        Long runs are coarsened to at most ``_MAX_EXPORT_WINDOWS``
+        windows by keeping every ``2**coarsen_passes``-th close (and
+        the last): halving the close indices pairwise, keeping the
+        later of each pair, groups exactly the windows a pairwise merge
+        of per-window deltas would.  Only the kept snapshots are
+        differenced.
+        """
         if self._end is None:
             raise ObsError(
                 "fleet telemetry is incomplete: series_finish never ran"
             )
-        coarsen_passes = self._coarsen()
-        n = len(self._w_end)
+        kept = list(range(len(self._closes)))
+        coarsen_passes = 0
+        while len(kept) > _MAX_EXPORT_WINDOWS:
+            kept = pairwise(kept, _last)
+            coarsen_passes += 1
+        closes = [self._closes[i] for i in kept]
+        run_start = _Close(0, (0,) * 6, [None] * len(self._tenants))
+        opens = [run_start, *closes[:-1]]
+        n = len(closes)
         fleet_accesses = [0] * n
         fleet_faults = [0] * n
         fleet_preloads = [0] * n
@@ -532,15 +479,23 @@ class FleetTelemetry:
         fleet_overflow = [0] * n
         tenants_out: List[Dict[str, object]] = []
         partitioned = self._frames is not None
-        for tenant in self._tenants:
+        for k, tenant in enumerate(self._tenants):
+            windows = [
+                _tenant_window(tenant.origin, opened.tenants[k], closed.tenants[k])
+                for opened, closed in zip(opens, closes)
+            ]
+            (
+                resident, quota, accesses, faults, preloads,
+                wait_cycles, wait_count, overflow, buckets,
+            ) = [list(column) for column in zip(*windows)]
             for i in range(n):
-                fleet_accesses[i] += tenant.accesses[i]
-                fleet_faults[i] += tenant.faults[i]
-                fleet_preloads[i] += tenant.preloads[i]
-                fleet_wait[i] += tenant.wait_cycles[i]
-                fleet_wait_count[i] += tenant.wait_count[i]
-                fleet_overflow[i] += tenant.overflow[i]
-                fleet_buckets[i] = _add_buckets(fleet_buckets[i], tenant.buckets[i])
+                fleet_accesses[i] += accesses[i]
+                fleet_faults[i] += faults[i]
+                fleet_preloads[i] += preloads[i]
+                fleet_wait[i] += wait_cycles[i]
+                fleet_wait_count[i] += wait_count[i]
+                fleet_overflow[i] += overflow[i]
+                fleet_buckets[i] = _add_buckets(fleet_buckets[i], buckets[i])
             entry: Dict[str, object] = {
                 "name": tenant.name,
                 "index": tenant.index,
@@ -552,40 +507,41 @@ class FleetTelemetry:
                 "started_at": tenant.started_at,
                 "departed_at": tenant.departed_at,
                 "truncated": tenant.truncated,
-                "accesses": tenant.accesses,
-                "faults": tenant.faults,
-                "preloads_completed": tenant.preloads,
-                "wait_cycles": tenant.wait_cycles,
-                "wait_count": tenant.wait_count,
+                "accesses": accesses,
+                "faults": faults,
+                "preloads_completed": preloads,
+                "wait_cycles": wait_cycles,
+                "wait_count": wait_count,
                 "fault_wait_p99": [
                     self._window_p99(
-                        tenant.buckets[i],
-                        tenant.overflow[i],
-                        tenant.wait_count[i],
-                        tenant.wait_cycles[i],
+                        buckets[i], overflow[i], wait_count[i], wait_cycles[i]
                     )
                     for i in range(n)
                 ],
             }
             if partitioned:
-                entry["resident"] = tenant.resident
-                entry["quota"] = tenant.quota
+                entry["resident"] = resident
+                entry["quota"] = quota
             tenants_out.append(entry)
+        window_start = [close.end for close in opens]
+        window_end = [close.end for close in closes]
+        loads = [c.fleet[4] - o.fleet[4] for o, c in zip(opens, closes)]
+        evictions = [c.fleet[5] - o.fleet[5] for o, c in zip(opens, closes)]
         busy = [
-            loads * self._cost_load + evictions * self._cost_evict
-            for loads, evictions in zip(self._f_loads, self._f_evictions)
+            count * self._cost_load + evicted * self._cost_evict
+            for count, evicted in zip(loads, evictions)
         ]
         utilization = [
             round(min(b / (end - start), 1.0), 4) if end > start else 0.0
-            for b, start, end in zip(busy, self._w_start, self._w_end)
+            for b, start, end in zip(busy, window_start, window_end)
         ]
         return {
             "schema": FLEET_TIMESERIES_SCHEMA,
             "window_cycles": self._window_cycles,
             "coarsen_passes": coarsen_passes,
-            "end_cycles": self._w_end[-1],
-            "window_start": list(self._w_start),
-            "window_end": list(self._w_end),
+            "end_cycles": window_end[-1],
+            "window_start": window_start,
+            "window_end": window_end,
             "fleet": {
                 "accesses": fleet_accesses,
                 "faults": fleet_faults,
@@ -600,13 +556,13 @@ class FleetTelemetry:
                     )
                     for i in range(n)
                 ],
-                "channel_loads": list(self._f_loads),
+                "channel_loads": loads,
                 "channel_busy_cycles": busy,
                 "channel_utilization": utilization,
-                "epc_resident": list(self._f_epc),
-                "queue_depth": list(self._f_queue),
-                "active_tenants": list(self._f_active),
-                "truncated_tenants": list(self._f_truncated),
+                "epc_resident": [close.fleet[0] for close in closes],
+                "queue_depth": [close.fleet[1] for close in closes],
+                "active_tenants": [close.fleet[2] for close in closes],
+                "truncated_tenants": [close.fleet[3] for close in closes],
             },
             "tenants": tenants_out,
             "rebalances": self._rebalances,

@@ -24,6 +24,7 @@ trustworthy.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import subprocess
@@ -50,11 +51,14 @@ __all__ = [
 MANIFEST_SCHEMA = "repro.run-manifest/1"
 
 
+@functools.lru_cache(maxsize=None)
 def git_sha() -> str:
     """The source tree's HEAD commit, or ``"unknown"``.
 
     Resolved relative to this file so the answer names the revision of
-    the *code that ran*, not whatever directory the caller sits in.
+    the *code that ran*, not whatever directory the caller sits in, and
+    resolved once per process: the loaded code does not change when
+    HEAD moves mid-run, and every manifest is spared a ``git`` fork.
     """
     try:
         out = subprocess.run(

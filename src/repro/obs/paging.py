@@ -41,6 +41,7 @@ run's (asserted in ``tests/obs/test_paging.py``).
 from __future__ import annotations
 
 import json
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Union
 
@@ -108,6 +109,18 @@ class _Interval:
         return record
 
 
+@dataclass(slots=True)
+class _Window:
+    """One phase window: ``window_accesses`` accesses, or a merge of several."""
+
+    start_cycle: int
+    end_cycle: int
+    heat: List[int]
+    accesses: int = 0
+    faults: int = 0
+    credits: int = 0
+
+
 class _PageLedger:
     """Per-page tallies plus the page's residency interval history."""
 
@@ -172,8 +185,8 @@ class PagingProfiler:
         # Internal state.
         self._pages: Dict[int, _PageLedger] = {}
         self._pending: Dict[int, int] = {}
-        self._windows: List[Dict[str, object]] = []
-        self._window: Optional[Dict[str, object]] = None
+        self._windows: List[_Window] = []
+        self._window: Optional[_Window] = None
 
     # ------------------------------------------------------------------
     # Driver-facing hooks (RL010: call sites confined to the driver)
@@ -319,7 +332,7 @@ class PagingProfiler:
         self.scans += 1
         self.scan_credited += credited
         if credited and self._window is not None:
-            self._window["credits"] = int(self._window["credits"]) + credited
+            self._window.credits += credited
 
     def ledger_finish(self, now: int) -> None:
         """Close the ledger at run end (idempotent)."""
@@ -335,7 +348,7 @@ class PagingProfiler:
                 self._close(ledger, interval, now)
         self.pending_at_exit = len(self._pending)
         window = self._window
-        if window is not None and int(window["accesses"]) > 0:
+        if window is not None and window.accesses > 0:
             self._windows.append(window)
         self._window = None
 
@@ -359,27 +372,17 @@ class PagingProfiler:
     def _tick(self, page: int, now: int, *, fault: bool) -> None:
         self.accesses += 1
         window = self._window
-        if window is None or int(window["accesses"]) >= self._window_accesses:
+        if window is None or window.accesses >= self._window_accesses:
             if window is not None:
                 self._windows.append(window)
-            window = {
-                "accesses": 0,
-                "faults": 0,
-                "credits": 0,
-                "start_cycle": now,
-                "end_cycle": now,
-                "heat": [0] * self._buckets,
-            }
-            self._window = window
-        window["accesses"] = int(window["accesses"]) + 1
-        window["end_cycle"] = now
+            window = self._window = _Window(now, now, [0] * self._buckets)
+        window.accesses += 1
+        window.end_cycle = now
         if fault:
-            window["faults"] = int(window["faults"]) + 1
+            window.faults += 1
         offset = page - self._base_page
         if 0 <= offset < self._elrange_pages:
-            bucket = offset // self._bucket_pages
-            heat: List[int] = window["heat"]  # type: ignore[assignment]
-            heat[bucket] += 1
+            window.heat[offset // self._bucket_pages] += 1
 
     # ------------------------------------------------------------------
     # Export
@@ -484,8 +487,7 @@ class PagingProfiler:
         for start in range(0, len(windows), per_column):
             merged = [0] * self._buckets
             for window in windows[start : start + per_column]:
-                heat: List[int] = window["heat"]  # type: ignore[assignment]
-                for bucket, count in enumerate(heat):
+                for bucket, count in enumerate(window.heat):
                     merged[bucket] += count
             counts.append(merged)
         return {
@@ -519,10 +521,10 @@ class PagingProfiler:
         return export
 
 
-def _band(window: Dict[str, object], mean_rate: float) -> str:
+def _band(window: _Window, mean_rate: float) -> str:
     """Label one window by its fault rate against the run mean."""
-    accesses = int(window["accesses"])
-    rate = int(window["faults"]) / accesses if accesses else 0.0
+    accesses = window.accesses
+    rate = window.faults / accesses if accesses else 0.0
     if mean_rate <= 0.0 or rate < 0.25 * mean_rate:
         return "resident"
     if rate > 2.0 * mean_rate:
@@ -530,44 +532,38 @@ def _band(window: Dict[str, object], mean_rate: float) -> str:
     return "steady"
 
 
-def _segment(
-    windows: List[Dict[str, object]], mean_rate: float
-) -> List[Dict[str, object]]:
+def _segment(windows: List[_Window], mean_rate: float) -> List[Dict[str, object]]:
     """Band each window by fault rate vs the run mean; merge runs."""
     phases: List[Dict[str, object]] = []
     for label, start, stop in runs([_band(w, mean_rate) for w in windows]):
         span = windows[start:stop]
-        accesses = sum(int(w["accesses"]) for w in span)
-        faults = sum(int(w["faults"]) for w in span)
+        accesses = sum(w.accesses for w in span)
+        faults = sum(w.faults for w in span)
         phases.append(
             {
                 "label": label,
                 "windows": stop - start,
                 "accesses": accesses,
                 "faults": faults,
-                "scan_credited_pages": sum(int(w["credits"]) for w in span),
-                "start_cycle": span[0]["start_cycle"],
-                "end_cycle": span[-1]["end_cycle"],
+                "scan_credited_pages": sum(w.credits for w in span),
+                "start_cycle": span[0].start_cycle,
+                "end_cycle": span[-1].end_cycle,
                 "fault_rate": round(faults / accesses, 6) if accesses else 0.0,
             }
         )
     return phases
 
 
-def _merge_windows(
-    first: Dict[str, object], last: Dict[str, object]
-) -> Dict[str, object]:
+def _merge_windows(first: _Window, last: _Window) -> _Window:
     """One window spanning two adjacent ones."""
-    heat_a: List[int] = first["heat"]  # type: ignore[assignment]
-    heat_b: List[int] = last["heat"]  # type: ignore[assignment]
-    return {
-        "accesses": int(first["accesses"]) + int(last["accesses"]),
-        "faults": int(first["faults"]) + int(last["faults"]),
-        "credits": int(first["credits"]) + int(last["credits"]),
-        "start_cycle": first["start_cycle"],
-        "end_cycle": last["end_cycle"],
-        "heat": [a + b for a, b in zip(heat_a, heat_b)],
-    }
+    return _Window(
+        first.start_cycle,
+        last.end_cycle,
+        [a + b for a, b in zip(first.heat, last.heat)],
+        first.accesses + last.accesses,
+        first.faults + last.faults,
+        first.credits + last.credits,
+    )
 
 
 def validate_paging_profile(block: object) -> Dict[str, int]:

@@ -196,6 +196,19 @@ class TestTrace:
         san.record_event(EventKind.PRELOAD, 10, 54, page=42)
         assert san.trace_tail[-1] == "[10..54] preload page=42"
 
+    def test_notes_format_with_their_values(self):
+        san = make_sanitizer()
+        san.check_enqueue([2, 3], now=50)
+        san.check_abort([2], now=60)
+        san.check_counters(1, 0, now=70)
+        san.check_final(RunStats(), clock=0)
+        assert san.trace_tail == (
+            "[50] enqueue burst [2, 3]",
+            "[60] abort drops [2]",
+            "[70] scan: PreloadCounter=1 AccPreloadCounter=0",
+            "[0] run end",
+        )
+
     def test_label_prefixes_failures(self):
         san = make_sanitizer(StubEpc(capacity=1, resident={1, 2}), label="lbm")
         with pytest.raises(SanitizerError, match="^lbm:"):

@@ -9,22 +9,37 @@ Two contracts:
   (burst filtering, valve-counter crediting, EPC occupancy, cycle
   accounting), the run dies with :class:`SanitizerError` carrying the
   event-trace tail, instead of silently producing wrong numbers.
+
+``golden_sanitizer.json`` pins the sanitizer's exact output: the check
+counts and event tails of five lbm runs, and the full text of one
+violation.  The sanitizer formats its messages and tail lazily, so
+these bytes are what proves the deferred text equals the eager one.
 """
+
+import json
+from pathlib import Path
 
 import pytest
 
 from repro.core.config import SimConfig
 from repro.core.dfp import DfpEngine
+from repro.enclave import driver as driver_module
 from repro.enclave.driver import SgxDriver
 from repro.enclave.epc import Epc
 from repro.enclave.eviction import ClockEvictor
+from repro.enclave.sanitizer import SimSanitizer
 from repro.errors import SanitizerError
 from repro.sim.engine import simulate
 from repro.sim.fleet import FleetScenario, TenantSpec, simulate_fleet
 from repro.workloads.base import SyntheticWorkload
+from repro.workloads.registry import build_workload
 from repro.workloads.synthetic import sequential, uniform_random
 
 SCHEMES = ["baseline", "dfp", "dfp-stop", "sip", "hybrid"]
+
+GOLDEN = json.loads(
+    (Path(__file__).parent / "golden_sanitizer.json").read_text(encoding="utf-8")
+)
 
 
 @pytest.fixture
@@ -49,6 +64,11 @@ def seq_workload():
         {0: "scan"},
         [sequential(0, 0, 384, compute=5_000, passes=3)],
     )
+
+
+def over_credit(self, count):
+    """Over-credit AccPreloadCounter so it overtakes PreloadCounter."""
+    self.acc_preload_counter += 100 * count + 100
 
 
 def noisy_workload():
@@ -125,10 +145,6 @@ class TestDetection:
     def test_broken_counter_crediting_is_caught(self, config, monkeypatch):
         """Over-credit AccPreloadCounter: the scan-time valve-counter
         check must see it exceed PreloadCounter."""
-
-        def over_credit(self, count):
-            self.acc_preload_counter += 100 * count + 100
-
         monkeypatch.setattr(DfpEngine, "credit_accessed", over_credit)
         with pytest.raises(
             SanitizerError, match="exceeds PreloadCounter"
@@ -183,10 +199,34 @@ class TestDetection:
         """Without --sanitize the same cycle leak sails through (the
         engine's own end check sees the mismatch instead) — the checks
         really are opt-in."""
-
-        def over_credit(self, count):
-            self.acc_preload_counter += 100 * count + 100
-
         monkeypatch.setattr(DfpEngine, "credit_accessed", over_credit)
         result = simulate(seq_workload(), config, "dfp")
         assert result.total_cycles > 0
+
+
+class TestPinnedOutput:
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_lbm_checks_and_tail_match_golden(self, scheme, monkeypatch):
+        made = []
+
+        class Recording(SimSanitizer):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                made.append(self)
+
+        monkeypatch.setattr(driver_module, "SimSanitizer", Recording)
+        config = SimConfig.scaled(64).replace(sanitize=True)
+        simulate(build_workload("lbm", scale=64), config, scheme)
+        (sanitizer,) = made
+        assert {
+            "checks": sanitizer.checks,
+            "violations": sanitizer.violations,
+            "trace_tail": list(sanitizer.trace_tail),
+        } == GOLDEN["lbm_scale_64"][scheme]
+
+    def test_counter_violation_text_matches_golden(self, config, monkeypatch):
+        """The whole message, every tail line included, byte for byte."""
+        monkeypatch.setattr(DfpEngine, "credit_accessed", over_credit)
+        with pytest.raises(SanitizerError) as excinfo:
+            simulate(seq_workload(), config.replace(sanitize=True), "dfp")
+        assert str(excinfo.value) == "\n".join(GOLDEN["counter_violation"])

@@ -12,6 +12,7 @@ criteria:
   (``validate_fleet_timeseries`` with the fleet block attached).
 """
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -31,6 +32,64 @@ from repro.obs.manifest import manifest_digest
 from repro.sim.fleet import EPC_POLICIES, SCENARIO_NAMES, build_scenario, simulate_fleet
 
 GOLDEN_FLEET_TRACE = Path(__file__).parent / "golden_fleet_chrome_trace.json"
+
+#: ``(scenario, policy, window_cycles) -> (coarsen_passes, sha256 of
+#: json.dumps(block, sort_keys=True))`` at seed 0, recorded when the
+#: sampler still kept per-window deltas and merged them pairwise.  The
+#: grid coarsens 0-8 times; the last run ends exactly on a window
+#: boundary, so its zero-width tail folds into the window before it.
+PINNED_BLOCKS = {
+    ("smoke", "shared-clock", None):
+        (1, "cd9ac046b036449b03960abaeec2268101b173712a04e25c8931fcbb96c82071"),
+    ("smoke", "shared-clock", 50_000):
+        (3, "45b71f1e68b06307c7a8a68d6b5ef28860bf19f143f90cc0e1e7057d47276351"),
+    ("smoke", "shared-clock", 7_919):
+        (6, "ced5a82c1ddee7fe97bf2e450355db7e44623618ea87568c17dc59f8a7d12428"),
+    ("smoke", "static-partition", None):
+        (2, "e45b4550b4c3eef42abf1929f742890d85040249e257328bf2ff1c4222207add"),
+    ("smoke", "static-partition", 50_000):
+        (4, "08f4242a005ce212b94d4297ffa85070a92b0f5cc2e0af4ad4bc42b1faf007e2"),
+    ("smoke", "static-partition", 7_919):
+        (6, "fb041cd97aa18b7eb275aa738b22dd0f7ca49043c6b855580af2b4cdbd855727"),
+    ("smoke", "adaptive-quota", None):
+        (2, "14220ab14b5e0e366ed1b53b77a9e5fed9e315ca68977ffba92f5fb22a146e94"),
+    ("smoke", "adaptive-quota", 50_000):
+        (4, "5b8bd692762d43977b255f02b5e4cc01e645b104e204160d076b33aaef0cf62d"),
+    ("smoke", "adaptive-quota", 7_919):
+        (6, "fae9ba56ce00e35e83ec5f6596cf7fb7d945c0f758617ebc9c085730151fe6ac"),
+    ("steady-8", "shared-clock", None):
+        (2, "22b4e672bfff74f462a956d52ed96eba9766e3f781ddb15542051130cb136ca0"),
+    ("steady-8", "shared-clock", 50_000):
+        (5, "d423442953f30f6b371a550aa0af1773b55a4e274e54b85fe250044375b531ee"),
+    ("steady-8", "shared-clock", 7_919):
+        (7, "6208c7a906ac71f87d9e4528f3c40e1006fb39e563fa8ee96a38520fc45d4a87"),
+    ("steady-8", "static-partition", None):
+        (2, "958051e2004bdd09f3c1764c968f2093f89821894b7a07ad6bf546914068b82f"),
+    ("steady-8", "static-partition", 50_000):
+        (5, "8c2026415fad6d864b8ec5fd3094e00b4fa983f7a720e71a8785b83c10cc5e83"),
+    ("steady-8", "static-partition", 7_919):
+        (8, "48ac41e1b6a53e2f4c0690a7cd907d3349167875f969167903ce37a42c949dac"),
+    ("steady-8", "adaptive-quota", None):
+        (2, "1cca4c952143b8dea6443cd874985f057f7868b108c3e12a30f75309601f0857"),
+    ("steady-8", "adaptive-quota", 50_000):
+        (5, "df5a008e8498a53d0aebf1a9a07c0f259ceb52d6e0e14a7fa50fd652f48d7d87"),
+    ("steady-8", "adaptive-quota", 7_919):
+        (8, "f6b8c929516f800dfb3b58f770e904e1499d94f3894c906203a1a41e6af44aca"),
+    ("churn-50", "shared-clock", None):
+        (4, "40f67f283f33d27d93e4d696673dc99b75983e802634c193dd1e46014464420a"),
+    ("churn-50", "shared-clock", 50_000):
+        (7, "cdcf5fdee5c9e197251a69b544d0648dc261f6764afd70d5a04389a3195d942e"),
+    ("churn-50", "static-partition", None):
+        (4, "eb2e0d7223aaa7f6b862cebe62ba40afd013f6b4714a4950d234dc4def1ff472"),
+    ("churn-50", "static-partition", 50_000):
+        (7, "7c4a8f8255b9cc3f4d50cd5f3ea4bcd657ec29a16b9aa8e01ac661c85e4a1437"),
+    ("churn-50", "adaptive-quota", None):
+        (4, "a287b361fa0493e529399a317b2452126e68a34112c6694f2e5902334db5417c"),
+    ("churn-50", "adaptive-quota", 50_000):
+        (7, "cc2924109c19ecec28062f006eabb93586f7b1c340046b48c2326675b24074e5"),
+    ("smoke", "shared-clock", 20_785_500):
+        (0, "64e41291ca62caf8fde353173d6cfafaad9de3afb778fdadcf1177f250684818"),
+}
 
 
 def canonical(document):
@@ -233,8 +292,8 @@ class TestWindowing:
         validate_fleet_timeseries(ts, fleet_block=result.fleet_block())
 
     def test_tiny_windows_coarsen_but_still_reconcile(self):
-        """A window far below the run length forces pairwise merges;
-        merging must preserve every reconciliation identity."""
+        """A window far below the run length forces coarsening, which
+        must preserve every reconciliation identity."""
         result = observed_run(window_cycles=50_000)
         ts = result.timeseries
         assert ts["coarsen_passes"] >= 1
@@ -244,6 +303,28 @@ class TestWindowing:
     def test_invalid_window_width_rejected(self):
         with pytest.raises(ObsError):
             FleetTelemetry(window_cycles=0)
+
+
+class TestPinnedBytes:
+    @pytest.mark.parametrize(("scenario", "policy", "window"), list(PINNED_BLOCKS))
+    def test_block_bytes_match_the_pinned_digest(self, scenario, policy, window):
+        block = observed_run(
+            scenario, seed=0, policy=policy, window_cycles=window
+        ).timeseries
+        text = json.dumps(block, sort_keys=True)
+        assert (
+            block["coarsen_passes"],
+            hashlib.sha256(text.encode()).hexdigest(),
+        ) == PINNED_BLOCKS[(scenario, policy, window)]
+
+    def test_pinned_boundary_run_ends_on_its_second_boundary(self):
+        """The fold case really is one: without it the run would need a
+        zero-width third window."""
+        block = observed_run(
+            "smoke", seed=0, policy="shared-clock", window_cycles=20_785_500
+        ).timeseries
+        assert block["window_end"] == [20_785_500, 41_571_000]
+        assert block["end_cycles"] == 41_571_000
 
 
 class TestValidatorErrors:
