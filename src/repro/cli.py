@@ -35,9 +35,10 @@ re-declared per command:
   DESIGN.md §6), ``--seed``, ``--input-set``, and ``--sanitize`` (the
   runtime invariant sanitizer, :mod:`repro.enclave.sanitizer`);
 * the **execution parent** (``run``/``compare``/``sweep``) —
-  ``--jobs/--retries/--timeout/--checkpoint/--resume/--progress``,
-  compiled by one helper into the
-  :class:`~repro.robust.ExecutionPolicy` handed to the drivers.
+  ``--jobs/--retries/--timeout/--checkpoint/--resume``, compiled by
+  one helper into the :class:`~repro.robust.ExecutionPolicy` handed to
+  the drivers, and ``--progress``, which ``sweep`` passes to
+  ``sweep_config(progress=)``.
   ``--jobs N`` fans simulations over N worker processes with results
   byte-identical to the serial run; ``--retries``/``--timeout`` bound
   flaky or wedged jobs; ``--checkpoint DIR`` persists each completed

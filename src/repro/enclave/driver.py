@@ -44,7 +44,7 @@ from repro.enclave.stats import RunStats
 from repro.errors import EpcError, SimulationError
 from repro.obs.metrics import NULL_REGISTRY, MetricsRegistry
 from repro.obs.paging import PagingProfiler
-from repro.obs.trace import DEFAULT_EVENT_CAPACITY, RingBufferSink, TraceSink
+from repro.obs.trace import TraceSink
 
 __all__ = ["SgxDriver"]
 
@@ -58,11 +58,9 @@ class SgxDriver:
         enclave: Enclave,
         *,
         dfp: Optional[DfpEngine] = None,
-        record_events: bool = False,
         platform: Optional[SharedPlatform] = None,
         metrics: Optional[MetricsRegistry] = None,
         tracer: Optional[TraceSink] = None,
-        event_capacity: Optional[int] = None,
         profiler: Optional[PagingProfiler] = None,
     ) -> None:
         self._config = config
@@ -85,22 +83,9 @@ class SgxDriver:
             self.epc, enclave.elrange_pages, base_page=enclave.base_page
         )
         self.stats = RunStats()
-        # Event recording goes through trace sinks (repro.obs.trace):
-        # ``record_events`` keeps a bounded ring buffer for .events,
-        # and an external ``tracer`` sink (JSONL stream, fan-out, ...)
-        # receives every event as it happens.
-        self._ring: Optional[RingBufferSink] = (
-            RingBufferSink(
-                event_capacity if event_capacity is not None else DEFAULT_EVENT_CAPACITY
-            )
-            if record_events
-            else None
-        )
-        self._sinks: List[TraceSink] = []
-        if self._ring is not None:
-            self._sinks.append(self._ring)
-        if tracer is not None:
-            self._sinks.append(tracer)
+        # Timeline-event sink (repro.obs.trace); several consumers share
+        # it through a fan-out Tracer.  None records nothing.
+        self._tracer = tracer
         self._register_metrics(metrics if metrics is not None else NULL_REGISTRY)
         # Paging-decision ledger (repro.obs.paging): strictly passive,
         # reads state it is handed and writes only profiler-private
@@ -124,10 +109,10 @@ class SgxDriver:
             if config.sanitize
             else None
         )
-        # "Is anything watching?" — sinks and the sanitizer are fixed
+        # "Is anything watching?" — the sink and the sanitizer are fixed
         # at construction, so the fault path guards its ``_emit`` calls
         # with one attribute test instead of paying the call.
-        self._observing = bool(self._sinks) or self.sanitizer is not None
+        self._observing = tracer is not None or self.sanitizer is not None
 
     @property
     def enclave(self) -> Enclave:
@@ -138,16 +123,6 @@ class SgxDriver:
     def platform(self) -> SharedPlatform:
         """The (possibly shared) physical platform."""
         return self._platform
-
-    @property
-    def events(self) -> List[TimelineEvent]:
-        """Recorded timeline events (most recent ``event_capacity``)."""
-        return self._ring.events if self._ring is not None else []
-
-    @property
-    def events_dropped(self) -> int:
-        """Events the bounded recorder had to evict (0 with room)."""
-        return self._ring.dropped if self._ring is not None else 0
 
     # ------------------------------------------------------------------
     # Internal helpers
@@ -161,7 +136,7 @@ class SgxDriver:
         gauges — sampled at dump time, zero hot-path cost, reconciled
         with their source by construction.  Quantities no other layer
         tracks (aborts by cause, wait-latency distributions, scan
-        credits, recorder drops) get true counters and histograms.
+        credits) get true counters and histograms.
         With the shared NULL registry all of these are no-op
         singletons, so the disabled path costs one dead method call.
         """
@@ -197,7 +172,6 @@ class SgxDriver:
                 ("time.sip_wait_cycles", lambda: time.sip_wait),
                 ("time.total_cycles", lambda: time.total),
                 ("time.overhead_cycles", lambda: time.overhead),
-                ("trace.events_dropped", lambda: self.events_dropped),
             ):
                 metrics.gauge(name, fn=fn)
         self._m_abort_instream = metrics.counter(
@@ -223,10 +197,8 @@ class SgxDriver:
         )
 
     def _emit(self, kind: EventKind, start: int, end: int, page: int = -1) -> None:
-        if self._sinks:
-            event = TimelineEvent(kind, start, end, page)
-            for sink in self._sinks:
-                sink.emit(event)
+        if self._tracer is not None:
+            self._tracer.emit(TimelineEvent(kind, start, end, page))
         if self.sanitizer is not None:
             self.sanitizer.record_event(kind, start, end, page)
 
@@ -248,9 +220,11 @@ class SgxDriver:
         """Land one page of this enclave in the EPC at ``finish``.
 
         Chooses a CLOCK victim when the EPC is full — possibly another
-        enclave's page, whose owner gets the eviction bookkeeping.
-        Returns True when a victim was evicted, so the channel can
-        charge the EWB housekeeping time.
+        enclave's page, whose owner gets the eviction bookkeeping — or,
+        under a per-tenant frame policy, wherever the policy says; then
+        every load lands through the same tail.  Returns True when a
+        victim was evicted, so the channel can charge the EWB
+        housekeeping time.
         """
         evicted = False
         epc = self.epc
@@ -279,23 +253,7 @@ class SgxDriver:
                 evicted = True
                 victim_owner = self._platform.owner_of(victim) or self
                 victim_owner._note_eviction(code)
-            epc.insert(page, preloaded=(kind is LoadKind.PRELOAD))
-            frames.note_insert(self, page)
-            if self.sanitizer is not None:
-                self.sanitizer.check_load(page, kind, finish)
-            if kind is LoadKind.PRELOAD:
-                self.stats.preloads_completed += 1
-                if self._dfp is not None:
-                    self._dfp.note_preload_completed()
-                if self._observing:
-                    self._emit(
-                        EventKind.PRELOAD,
-                        finish - self.channel.load_cycles,
-                        finish,
-                        page,
-                    )
-            return evicted
-        if epc.is_full:
+        elif epc.is_full:
             evictor = self.evictor
             chances_before = evictor.second_chances
             victim = evictor.select_victim()
@@ -319,7 +277,10 @@ class SgxDriver:
                     for_kind=kind.value,
                 )
         epc.insert(page, preloaded=(kind is LoadKind.PRELOAD))
-        self.evictor.note_insert(page)
+        if frames is not None:
+            frames.note_insert(self, page)
+        else:
+            self.evictor.note_insert(page)
         if self._profiling:
             self._profiler.ledger_insert(page, kind.value, finish)
         if self.sanitizer is not None:

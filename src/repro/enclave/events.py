@@ -2,20 +2,22 @@
 
 The paper's didactic figures plot the exact sequence of AEX, page-load,
 ERESUME and notification intervals on a time axis.  When a driver is
-constructed with ``record_events=True`` it emits one
-:class:`TimelineEvent` per interval into a bounded ring buffer
-(:class:`repro.obs.trace.RingBufferSink`), which the Figure 2 bench
-renders as an ASCII time chart.
+constructed with a ``tracer`` sink (:mod:`repro.obs.trace`) it emits
+one :class:`TimelineEvent` per interval into it;
+``simulate(..., record_events=True)`` passes a bounded
+:class:`repro.obs.trace.RingBufferSink` and returns its contents as
+``RunResult.events``, which the Figure 2 bench renders as an ASCII
+time chart.
 
 Recording is off by default, and memory stays bounded even when it is
 on: large runs produce millions of events, so the ring buffer keeps
 only the most recent ``event_capacity`` of them and counts the rest in
-``SgxDriver.events_dropped``.  Arbitrary additional consumers (JSONL
-streams, the Chrome trace exporter) attach through the driver's
-``tracer`` sink — see :mod:`repro.obs.trace`.
+its ``dropped`` counter.  Other consumers (JSONL streams, the Chrome
+trace exporter) are sinks too, fanned out through a
+:class:`repro.obs.trace.Tracer` when there are several.
 
 An event is a named tuple, the cheapest record Python builds: the
-driver makes one per interval while any sink listens.  Nothing formats
+driver makes one per interval while a sink listens.  Nothing formats
 it on the way: the sanitizer's event tail keeps the raw ``(kind,
 start, end, page)`` values and turns them into text only when a check
 fails or the tail is read.

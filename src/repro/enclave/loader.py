@@ -231,15 +231,6 @@ class LoadChannel:
             self.preloads_aborted += aborted
         return aborted
 
-    def abort_all(self, now: int) -> int:
-        """Drop every queued preload (used when the valve fires)."""
-        self.advance_to(now)
-        aborted = len(self._queue)
-        self._queue.clear()
-        self._queued_tag.clear()
-        self.preloads_aborted += aborted
-        return aborted
-
     # ------------------------------------------------------------------
     # Synchronous (demand / SIP) path
     # ------------------------------------------------------------------

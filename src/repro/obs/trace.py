@@ -1,19 +1,21 @@
 """Structured tracing: pluggable sinks for the driver's timeline events.
 
-The driver's ``record_events`` recorder used to be an unbounded list —
-fine for the didactic Figure 2/4 traces, fatal for a full-scale run
-that produces millions of events.  This module generalizes it:
 :class:`~repro.enclave.driver.SgxDriver` emits each
-:class:`~repro.enclave.events.TimelineEvent` to any number of
-:class:`TraceSink` objects, and the sinks decide what to keep:
+:class:`~repro.enclave.events.TimelineEvent` to its one optional
+``tracer`` sink, and the sink decides what to keep:
 
 * :class:`RingBufferSink` — bounded in-memory buffer keeping the most
-  recent ``capacity`` events and counting what it dropped (this is
-  what ``record_events=True`` now uses, so its memory promise is
-  actually kept);
+  recent ``capacity`` events and counting what it dropped (what
+  ``simulate(record_events=True)`` builds for ``RunResult.events``, so
+  a full-scale run's millions of events cannot exhaust memory);
 * :class:`JsonlSink` — streams one JSON object per event to a file,
   for unbounded captures that must not live in memory;
-* :class:`Tracer` — fan-out composite, itself a sink.
+* :class:`Tracer` — fan-out composite, itself a sink, for feeding
+  several consumers through the driver's one ``tracer``.
+
+:func:`register_sink_metrics` publishes a ring's capture and drop
+counts into a metrics registry under ``trace.captured_events`` and
+``trace.dropped_events``.
 
 A captured event list renders to the Chrome ``trace_event`` format via
 :mod:`repro.obs.chrome`, so any run opens in Perfetto or
@@ -41,8 +43,8 @@ __all__ = [
     "register_sink_metrics",
 ]
 
-#: Default capacity of the driver's event ring buffer: large enough for
-#: every didactic and benchmark-scale trace, bounded for full runs.
+#: Default capacity of an event ring buffer: large enough for every
+#: didactic and benchmark-scale trace, bounded for full runs.
 DEFAULT_EVENT_CAPACITY = 1 << 20
 
 

@@ -5,9 +5,10 @@ sweeps; PR 3 made them fast (process-pool fan-out), this layer makes
 them survivable.  Four capabilities, all configured through one
 :class:`~repro.robust.policy.ExecutionPolicy` object:
 
-* **retry & timeout** (:mod:`repro.robust.retry`) — bounded attempts
-  with deterministic exponential backoff and a per-job wall-clock
-  budget;
+* **retry & timeout** (:mod:`repro.robust.retry`,
+  :attr:`~repro.robust.policy.ExecutionPolicy.timeout`) — bounded
+  attempts with deterministic exponential backoff and a per-attempt
+  wall-clock budget;
 * **checkpoint/resume** (:mod:`repro.robust.checkpoint`) — every
   completed run persisted as a ``repro.run-manifest/1`` record in a
   content-addressed directory, so an interrupted sweep restarts where

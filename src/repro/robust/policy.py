@@ -1,14 +1,15 @@
 """ExecutionPolicy: one object configuring how experiments execute.
 
 PR 3 gave the drivers ``jobs=``; this layer adds retry, timeout,
-checkpoint/resume, progress, and fault injection — and rather than
-growing every driver signature by six kwargs, all of it lives behind
-one frozen :class:`ExecutionPolicy` accepted as ``policy=`` by
+checkpoint/resume and fault injection — and rather than growing every
+driver signature by five kwargs, all of it lives behind one frozen
+:class:`ExecutionPolicy` accepted as ``policy=`` by
 :func:`repro.sim.parallel.run_jobs`,
 :func:`repro.sim.sweep.compare_schemes` and
 :func:`repro.sim.sweep.sweep_config` (and built by the CLI's shared
-``--jobs/--retries/--timeout/--checkpoint/--resume/--progress``
-flags).
+``--jobs/--retries/--timeout/--checkpoint/--resume`` flags).  Progress
+is observation, not execution: it is :func:`~repro.sim.sweep.sweep_config`'s
+``progress=`` hook.
 
 The default policy is the pre-policy behaviour exactly: serial, one
 attempt, no timeout, no checkpointing, no faults — so ``policy=None``
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Optional, Union
+from typing import Optional, Union
 
 from repro.errors import ConfigError
 from repro.robust.faults import FaultPlan
@@ -37,8 +38,9 @@ class ExecutionPolicy:
     jobs: int = 1
     #: Attempt budget and backoff schedule for failing jobs.
     retry: RetryPolicy = field(default_factory=RetryPolicy)
-    #: Per-job wall-clock budget in seconds.  Shorthand that overrides
-    #: ``retry.timeout`` when set; see :attr:`effective_timeout`.
+    #: Per-attempt wall-clock budget in seconds; ``None`` disables
+    #: timeout detection.  An attempt that exceeds it is abandoned and
+    #: counted as a :class:`~repro.errors.JobTimeoutError`.
     timeout: Optional[float] = None
     #: Directory of completed-run checkpoint records
     #: (:class:`repro.robust.checkpoint.CheckpointStore`); None
@@ -47,13 +49,6 @@ class ExecutionPolicy:
     #: Skip jobs whose checkpoint record already exists.  Requires
     #: :attr:`checkpoint_dir`.
     resume: bool = False
-    #: Progress callback; the sweep drivers deliver
-    #: :class:`~repro.sim.sweep.SweepProgress` ticks through it.
-    #: Excluded from comparison — observing progress is not part of
-    #: the experiment's identity.
-    progress: Optional[Callable[..., None]] = field(
-        default=None, compare=False
-    )
     #: Deterministic fault-injection schedule, for testing the
     #: machinery above without real flakiness.
     fault_plan: Optional[FaultPlan] = None
@@ -71,11 +66,6 @@ class ExecutionPolicy:
             )
 
     @property
-    def effective_timeout(self) -> Optional[float]:
-        """The per-job timeout actually in force."""
-        return self.timeout if self.timeout is not None else self.retry.timeout
-
-    @property
     def max_attempts(self) -> int:
         """Attempt budget per job (from the retry policy)."""
         return self.retry.max_attempts
@@ -91,7 +81,7 @@ class ExecutionPolicy:
         return (
             self.jobs > 1
             or self.retry.retries_enabled
-            or self.effective_timeout is not None
+            or self.timeout is not None
             or self.checkpoint_dir is not None
             or self.fault_plan is not None
         )
@@ -107,17 +97,8 @@ class ExecutionPolicy:
         return {
             "jobs": self.jobs,
             "max_attempts": self.max_attempts,
-            "timeout_s": self.effective_timeout,
+            "timeout_s": self.timeout,
             "checkpointing": self.checkpoint_dir is not None,
             "resume": self.resume,
             "fault_plan": self.fault_plan is not None,
         }
-
-    def with_progress(
-        self, progress: Optional[Callable[..., None]]
-    ) -> "ExecutionPolicy":
-        """A copy carrying ``progress`` (frozen-dataclass idiom)."""
-        import dataclasses
-
-        return dataclasses.replace(self, progress=progress)
-

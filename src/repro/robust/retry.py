@@ -1,11 +1,12 @@
-"""Retry policy: bounded attempts, exponential backoff, per-job timeout.
+"""Retry policy: bounded attempts with exponential backoff.
 
 A failed job attempt (worker exception, timeout, integrity mismatch)
 is retried up to :attr:`RetryPolicy.max_attempts` times, with an
 exponentially growing delay between attempts.  The backoff is
 deliberately jitter-free: retries change *when* a job runs, never
 *what* it computes, and a deterministic schedule keeps the resilience
-machinery as replayable as the simulations it protects.
+machinery as replayable as the simulations it protects.  The
+per-attempt timeout is :attr:`repro.robust.ExecutionPolicy.timeout`.
 
 Real-time waiting happens through :func:`repro.robust.faults.sleep`,
 the tree's single sanctioned delay (lint rule RL008).
@@ -14,7 +15,6 @@ the tree's single sanctioned delay (lint rule RL008).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.errors import ConfigError
 from repro.robust.faults import sleep
@@ -26,8 +26,8 @@ __all__ = ["RetryPolicy"]
 class RetryPolicy:
     """How many chances a job gets, and how long to wait between them.
 
-    The default — one attempt, no timeout — is exactly the pre-policy
-    behaviour: fail fast, change nothing.
+    The default — one attempt — is exactly the pre-policy behaviour:
+    fail fast, change nothing.
     """
 
     #: Total execution attempts per job (1 = no retries).
@@ -35,10 +35,6 @@ class RetryPolicy:
     #: Backoff before retry ``n`` (1-based) is ``base_delay * 2**(n-1)``
     #: seconds, capped at :attr:`max_delay`.
     base_delay: float = 0.01
-    #: Per-attempt wall-clock budget in seconds; ``None`` disables
-    #: timeout detection.  An attempt that exceeds it is abandoned and
-    #: counted as a :class:`~repro.errors.JobTimeoutError`.
-    timeout: Optional[float] = None
     #: Ceiling on a single backoff delay, in seconds.
     max_delay: float = 2.0
 
@@ -54,10 +50,6 @@ class RetryPolicy:
         if self.max_delay < 0:
             raise ConfigError(
                 f"max_delay must be non-negative, got {self.max_delay}"
-            )
-        if self.timeout is not None and self.timeout <= 0:
-            raise ConfigError(
-                f"timeout must be positive when set, got {self.timeout}"
             )
 
     def delay_for(self, retry_number: int) -> float:

@@ -40,7 +40,13 @@ from repro.enclave.enclave import Enclave
 from repro.errors import ConfigError, SimulationError
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.paging import PagingProfiler
-from repro.obs.trace import TraceSink
+from repro.obs.trace import (
+    DEFAULT_EVENT_CAPACITY,
+    RingBufferSink,
+    Tracer,
+    TraceSink,
+    register_sink_metrics,
+)
 from repro.sim.results import RunResult
 from repro.workloads.base import TraceEvent, Workload
 
@@ -104,12 +110,15 @@ def simulate(
     Observability (all passive — none of these change the outcome):
     ``metrics`` is a :class:`~repro.obs.metrics.MetricsRegistry` the
     driver and DFP layers publish into (its dump lands on
-    ``RunResult.metrics``); ``tracer`` is an extra
+    ``RunResult.metrics``); ``tracer`` is a
     :class:`~repro.obs.trace.TraceSink` receiving every timeline event
-    as it happens; ``event_capacity`` bounds the ``record_events``
-    ring buffer (most recent events win, drops are counted);
-    ``profiler`` is a :class:`~repro.obs.paging.PagingProfiler` the
-    driver feeds every paging decision (read its
+    as it happens; ``record_events`` keeps the most recent
+    ``event_capacity`` events in a
+    :class:`~repro.obs.trace.RingBufferSink` for ``RunResult.events``
+    (beside ``tracer`` when both are given; with ``metrics``, its
+    ``trace.captured_events``/``trace.dropped_events`` land in the
+    dump); ``profiler`` is a :class:`~repro.obs.paging.PagingProfiler`
+    the driver feeds every paging decision (read its
     :meth:`~repro.obs.paging.PagingProfiler.profile` after the run).
     """
     if engine != "scalar":
@@ -127,14 +136,20 @@ def simulate(
         elrange_pages=workload.elrange_pages,
         instrumentation_points=points,
     )
+    ring: Optional[RingBufferSink] = None
+    if record_events:
+        ring = RingBufferSink(
+            event_capacity if event_capacity is not None else DEFAULT_EVENT_CAPACITY
+        )
+        if metrics is not None:
+            register_sink_metrics(metrics, ring)
+        tracer = ring if tracer is None else Tracer([ring, tracer])
     driver = SgxDriver(
         config,
         enclave,
         dfp=dfp,
-        record_events=record_events,
         metrics=metrics,
         tracer=tracer,
-        event_capacity=event_capacity,
         profiler=profiler,
     )
     breakdown = driver.stats.time
@@ -185,7 +200,7 @@ def simulate(
         stats=driver.stats,
         config=config,
         sip_points=points,
-        events=driver.events if record_events else None,
+        events=ring.events if ring is not None else None,
         metrics=(
             metrics.as_dict()
             if metrics is not None and metrics.enabled

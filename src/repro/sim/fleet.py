@@ -180,6 +180,17 @@ class FleetScenario:
             )
         if not self.tenants:
             raise ConfigError(f"scenario {self.name!r} has no tenants")
+        if self.epc_pages is not None and self.epc_pages <= 0:
+            raise ConfigError(f"epc_pages must be positive, got {self.epc_pages}")
+        if self.input_set not in Workload.INPUT_SETS:
+            raise ConfigError(
+                f"unknown input set {self.input_set!r} "
+                f"(choose from {', '.join(Workload.INPUT_SETS)})"
+            )
+        if self.min_quota_pages < 1:
+            raise ConfigError(
+                f"min_quota_pages must be >= 1, got {self.min_quota_pages}"
+            )
         if self.max_admitted is not None and self.max_admitted < 1:
             raise ConfigError(
                 f"max_admitted must be >= 1, got {self.max_admitted}"

@@ -388,7 +388,7 @@ class _JobRunner:
         )
         self.plan = policy.fault_plan
         self.retry = policy.retry
-        self.timeout = policy.effective_timeout
+        self.timeout = policy.timeout
         #: True once the pool broke and execution degraded to serial.
         self.degraded = False
         #: Timed-out futures whose attempt was already executing when

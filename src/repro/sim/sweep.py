@@ -15,7 +15,9 @@ caches keep the hot path from repeating work the determinism contract
 makes repeatable:
 
 * traces are materialized once per ``(workload, seed, input_set)`` and
-  replayed for every scheme (:mod:`repro.sim.tracecache`);
+  replayed for every scheme (:mod:`repro.sim.tracecache`); only
+  :class:`~repro.sim.parallel.WorkloadSpec` traces enter the
+  process-wide cache, and a live workload is materialized per call;
 * SIP plans are compile-time artifacts — one binary serves every run
   in the paper — so profiling runs are memoized per trace identity
   ``(workload, footprint, seed)`` and plan compilation per profile +
@@ -39,7 +41,7 @@ from repro.robust import ExecutionPolicy
 from repro.sim.engine import simulate
 from repro.sim.parallel import JobSpec, WorkloadSpec, run_jobs
 from repro.sim.results import RunResult
-from repro.sim.tracecache import shared_trace_cache
+from repro.sim.tracecache import materialize, shared_trace_cache
 from repro.workloads.base import Workload
 
 __all__ = [
@@ -250,7 +252,8 @@ def compare_schemes(
     shared across the SIP-bearing schemes, exactly as one compiled
     binary serves all the paper's runs; schemes without SIP never
     touch the profiler.  The workload trace is materialized once and
-    replayed per scheme.
+    replayed per scheme; a :class:`~repro.sim.parallel.WorkloadSpec`'s
+    trace is also kept in the process-wide cache for later calls.
 
     ``policy`` (:class:`~repro.robust.ExecutionPolicy`) is the single
     execution-configuration path: when it asks for anything beyond
@@ -290,7 +293,13 @@ def compare_schemes(
     built = _build_workload(workload)
     if _needs_sip(schemes) and sip_plan is None:
         sip_plan = _SipPlanCache().plan_for(built, config, seed)
-    trace = shared_trace_cache().get(built, seed=seed, input_set=input_set)
+    # Only registry traces go to the shared cache: its key cannot tell
+    # two live workloads with one name and footprint apart.
+    trace = (
+        shared_trace_cache().get(built, seed=seed, input_set=input_set)
+        if isinstance(workload, WorkloadSpec)
+        else materialize(built, seed=seed, input_set=input_set)
+    )
     results: Dict[str, RunResult] = {}
     for name in schemes:
         results[name] = simulate(
@@ -337,13 +346,12 @@ def sweep_config(
 
     ``progress`` is called after each completed point with a
     :class:`SweepProgress` tick (sweeps are the slow path — minutes at
-    paper scale — so the CLI surfaces an ETA through this hook); the
-    ``policy.progress`` callback serves the same role when the kwarg
-    is not given.  Under parallel execution ticks fire as points
-    complete, which may be out of label order; on a resumed sweep,
-    checkpoint-restored points tick instantly.  Ticks of a
-    runner-routed sweep carry the cumulative retry/timeout/fault
-    tallies so a progress line shows fleet health, not just ETA.
+    paper scale — so the CLI surfaces an ETA through this hook).
+    Under parallel execution ticks fire as points complete, which may
+    be out of label order; on a resumed sweep, checkpoint-restored
+    points tick instantly.  Ticks of a runner-routed sweep carry the
+    cumulative retry/timeout/fault tallies so a progress line shows
+    fleet health, not just ETA.
 
     ``telemetry`` (an :class:`~repro.obs.exec_telemetry.ExecTelemetry`)
     makes this an observed sweep: execution routes through the runner
@@ -352,7 +360,6 @@ def sweep_config(
     job's shipped metric/trace dumps.  Results are unchanged.
     """
     resolved = policy if policy is not None else ExecutionPolicy()
-    report = progress if progress is not None else resolved.progress
     config_list = list(configs)
     if values is None:
         labels: List[object] = list(range(len(config_list)))
@@ -380,7 +387,7 @@ def sweep_config(
         collector = (
             telemetry
             if telemetry is not None
-            else (ExecTelemetry() if report is not None else None)
+            else (ExecTelemetry() if progress is not None else None)
         )
         plan_probe = spec.build() if needs_sip else None
         specs: List[JobSpec] = []
@@ -405,14 +412,14 @@ def sweep_config(
             nonlocal points_done
             point = index // per_point
             remaining[point] -= 1
-            if remaining[point] == 0 and report is not None:
+            if remaining[point] == 0 and progress is not None:
                 points_done += 1
                 retries, timeouts, faults = (
                     collector.health_counts()
                     if collector is not None
                     else (0, 0, 0)
                 )
-                report(
+                progress(
                     SweepProgress.tick(
                         completed=points_done,
                         total=total,
@@ -441,8 +448,10 @@ def sweep_config(
     points = []
     for label, config in zip(labels, config_list):
         workload = _build_workload(workload_factory)
+        # A spec is passed on as a spec, so its trace stays cached
+        # across the points.
         results = compare_schemes(
-            workload,
+            workload_factory if isinstance(workload_factory, WorkloadSpec) else workload,
             config,
             schemes,
             seed=seed,
@@ -450,8 +459,8 @@ def sweep_config(
             sip_plan=point_plan(workload, config),
         )
         points.append(SweepPoint(label, results))
-        if report is not None:
-            report(
+        if progress is not None:
+            progress(
                 SweepProgress.tick(
                     completed=len(points),
                     total=total,

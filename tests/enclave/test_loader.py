@@ -132,13 +132,6 @@ class TestAborts:
         assert rec.pages == [1, 4, 5]
         assert chan.preloads_aborted == 2
 
-    def test_abort_all(self):
-        chan, rec = make()
-        chan.enqueue_preloads([1, 2, 3], 0)
-        assert chan.abort_all(0) == 2  # 1 already in flight
-        chan.advance_to(10 * LOAD)
-        assert rec.pages == [1]
-
     def test_abort_never_cancels_in_flight(self):
         """Non-preemptible: the in-flight load always completes."""
         chan, rec = make()

@@ -193,7 +193,7 @@ class TestReconciliation:
         )
         assert metrics["scan.credited_pages"] <= stats["preloads_accessed"]
         assert metrics["epc.capacity_pages"] == 64
-        assert metrics["trace.events_dropped"] == 0
+        assert capture.dropped == 0
         assert len(capture.events) > 0
 
     def test_a_run_actually_exercised_the_machinery(self, workload, config):

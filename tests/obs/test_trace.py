@@ -18,6 +18,7 @@ from repro.obs.chrome import (
     write_chrome_trace,
 )
 from repro.obs.exec_telemetry import ExecSpan, SpanKind
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import (
     DEFAULT_EVENT_CAPACITY,
     JsonlSink,
@@ -25,6 +26,9 @@ from repro.obs.trace import (
     Tracer,
     event_to_dict,
 )
+from repro.sim.engine import simulate
+from repro.workloads.base import SyntheticWorkload
+from repro.workloads.synthetic import sequential
 
 GOLDEN = Path(__file__).parent / "golden_chrome_trace.json"
 GOLDEN_EXEC = Path(__file__).parent / "golden_exec_tracks.json"
@@ -127,26 +131,41 @@ class TestEventToDict:
 
 
 class TestDriverBoundedRecording:
-    """Satellite 1: record_events now rides a bounded ring buffer."""
+    """The driver records through one sink; a ring buffer bounds it."""
+
+    CONFIG = SimConfig(epc_pages=16, scan_period_cycles=10**9)
 
     def make(self, **kwargs):
-        config = SimConfig(epc_pages=16, scan_period_cycles=10**9)
-        return SgxDriver(config, Enclave("t", elrange_pages=256), **kwargs)
+        return SgxDriver(self.CONFIG, Enclave("t", elrange_pages=256), **kwargs)
+
+    @staticmethod
+    def workload():
+        return SyntheticWorkload(
+            "seq", 32, {0: "scan"}, [sequential(0, 0, 32, compute=1_000)]
+        )
 
     def test_default_capacity_is_bounded(self):
-        driver = self.make(record_events=True)
-        assert driver._ring.capacity == DEFAULT_EVENT_CAPACITY
+        assert RingBufferSink().capacity == DEFAULT_EVENT_CAPACITY
+        result = simulate(
+            self.workload(),
+            self.CONFIG,
+            record_events=True,
+            metrics=MetricsRegistry(),
+        )
+        assert result.metrics["trace.captured_events"] == len(result.events)
+        assert result.metrics["trace.dropped_events"] == 0
 
     def test_capacity_bounds_memory_and_counts_drops(self):
-        driver = self.make(record_events=True, event_capacity=4)
+        sink = RingBufferSink(4)
+        driver = self.make(tracer=sink)
         t = 0
         for page in range(3):  # 3 faults x 3 events each = 9 emitted
             t = driver.access(page, t)
-        assert len(driver.events) == 4
-        assert driver.events_dropped == 5
+        assert len(sink.events) == 4
+        assert sink.dropped == 5
         # The most recent events win: the buffer ends with the last
         # fault's AEX -> DEMAND_LOAD -> ERESUME.
-        kinds = [e.kind for e in driver.events]
+        kinds = [e.kind for e in sink.events]
         assert kinds[-3:] == [
             EventKind.AEX,
             EventKind.DEMAND_LOAD,
@@ -154,18 +173,24 @@ class TestDriverBoundedRecording:
         ]
 
     def test_recording_off_means_no_events_and_no_drops(self):
-        driver = self.make(record_events=False)
-        driver.access(1, 0)
-        assert driver.events == []
-        assert driver.events_dropped == 0
+        result = simulate(self.workload(), self.CONFIG, metrics=MetricsRegistry())
+        assert result.events is None
+        assert not any(name.startswith("trace.") for name in result.metrics)
 
     def test_external_tracer_receives_events_without_recording(self):
-        sink = RingBufferSink(64)
-        driver = self.make(record_events=False, tracer=sink)
-        driver.access(1, 0)
-        assert driver.events == []
+        sink = RingBufferSink()
+        result = simulate(self.workload(), self.CONFIG, tracer=sink)
+        assert result.events is None
         kinds = [e.kind for e in sink.events]
-        assert kinds == [EventKind.AEX, EventKind.DEMAND_LOAD, EventKind.ERESUME]
+        assert kinds[:3] == [EventKind.AEX, EventKind.DEMAND_LOAD, EventKind.ERESUME]
+
+    def test_recording_and_external_tracer_see_the_same_events(self):
+        sink = RingBufferSink()
+        result = simulate(
+            self.workload(), self.CONFIG, "dfp-stop", record_events=True, tracer=sink
+        )
+        assert result.events == sink.events
+        assert result.events
 
 
 class TestChromeTrace:

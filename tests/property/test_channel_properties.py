@@ -15,7 +15,7 @@ from repro.enclave.loader import IDLE_DUE, LoadChannel, LoadKind
 LOAD = 44_000
 
 # Operations: ("preload", [pages]) | ("demand", page) | ("advance", dt)
-#             | ("abort_all",) | ("abort_tag", burst index) | ("wait",)
+#             | ("abort_range", a, b) | ("abort_tag", burst index) | ("wait",)
 ops = st.lists(
     st.one_of(
         st.tuples(
@@ -26,7 +26,11 @@ ops = st.lists(
         ),
         st.tuples(st.just("demand"), st.integers(min_value=0, max_value=500)),
         st.tuples(st.just("advance"), st.integers(min_value=0, max_value=200_000)),
-        st.tuples(st.just("abort_all")),
+        st.tuples(
+            st.just("abort_range"),
+            st.integers(min_value=0, max_value=501),
+            st.integers(min_value=0, max_value=501),
+        ),
         st.tuples(st.just("abort_tag"), st.integers(min_value=0, max_value=20)),
         st.tuples(st.just("wait")),
     ),
@@ -71,7 +75,8 @@ def run_ops(op_list, after_op=None):
         elif op[0] == "wait":
             now = chan.wait_for_current(now)
         else:
-            chan.abort_all(now)
+            lo, hi = sorted(op[1:])
+            chan.abort_pages_in_range(lo, hi, now)
         if after_op is not None:
             after_op(chan, tracker, now)
     return chan, tracker, now
@@ -127,6 +132,33 @@ def test_no_page_applied_twice_while_tracked(op_list):
         if page in last_finish:
             assert finish > last_finish[page]
         last_finish[page] = finish
+
+
+@given(
+    ops,
+    st.integers(min_value=0, max_value=501),
+    st.integers(min_value=0, max_value=501),
+)
+@settings(max_examples=200)
+def test_range_abort_drops_exactly_the_queued_pages_in_range(op_list, a, b):
+    """The valve's abort drops the queued pages in ``[lo, hi)`` and only
+    those: survivors keep their order and bursts, and the in-flight
+    load (non-preemptible) is never cancelled."""
+    chan, _tracker, now = run_ops(op_list)
+    lo, hi = sorted((a, b))
+    chan.advance_to(now)
+    current = chan.current_page
+    before = chan.queued_pages
+    tags = {page: chan.queued_tag(page) for page in before}
+    aborted = chan.preloads_aborted
+    dropped = chan.abort_pages_in_range(lo, hi, now)
+    survivors = tuple(page for page in before if not lo <= page < hi)
+    assert dropped == len(before) - len(survivors)
+    assert chan.queued_pages == survivors
+    assert all(chan.queued_tag(page) == tags[page] for page in survivors)
+    assert not any(chan.is_queued(page) for page in before if lo <= page < hi)
+    assert chan.current_page == current
+    assert chan.preloads_aborted == aborted + dropped
 
 
 def _observable(chan, tracker):

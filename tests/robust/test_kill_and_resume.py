@@ -111,9 +111,8 @@ class TestKillAndResume:
             sweep_configs(),
             SCHEMES,
             values=list(VALUES),
-            policy=ExecutionPolicy(
-                checkpoint_dir=ckpt, resume=True, progress=ticks.append
-            ),
+            policy=ExecutionPolicy(checkpoint_dir=ckpt, resume=True),
+            progress=ticks.append,
         )
         assert sorted(t.completed for t in ticks) == [1, 2, 3]
         assert {t.label for t in ticks} == set(VALUES)

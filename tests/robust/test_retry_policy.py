@@ -10,7 +10,6 @@ class TestRetryPolicy:
     def test_defaults_are_the_pre_policy_behaviour(self):
         policy = RetryPolicy()
         assert policy.max_attempts == 1
-        assert policy.timeout is None
         assert not policy.retries_enabled
 
     def test_backoff_grows_exponentially_and_caps(self):
@@ -27,7 +26,7 @@ class TestRetryPolicy:
         with pytest.raises(ConfigError):
             RetryPolicy(base_delay=-1.0)
         with pytest.raises(ConfigError):
-            RetryPolicy(timeout=0.0)
+            RetryPolicy(max_delay=-1.0)
         with pytest.raises(ConfigError):
             RetryPolicy().delay_for(0)
 
@@ -37,7 +36,7 @@ class TestExecutionPolicy:
         policy = ExecutionPolicy()
         assert policy.jobs == 1
         assert not policy.is_resilient
-        assert policy.effective_timeout is None
+        assert policy.timeout is None
         assert policy.max_attempts == 1
 
     @pytest.mark.parametrize(
@@ -53,30 +52,12 @@ class TestExecutionPolicy:
     def test_any_feature_makes_it_resilient(self, kwargs):
         assert ExecutionPolicy(**kwargs).is_resilient
 
-    def test_timeout_field_overrides_retry_timeout(self):
-        policy = ExecutionPolicy(
-            timeout=3.0, retry=RetryPolicy(timeout=9.0)
-        )
-        assert policy.effective_timeout == 3.0
-        assert ExecutionPolicy(
-            retry=RetryPolicy(timeout=9.0)
-        ).effective_timeout == 9.0
-
     def test_validation(self):
         with pytest.raises(ConfigError):
             ExecutionPolicy(jobs=0)
         with pytest.raises(ConfigError):
             ExecutionPolicy(timeout=-1.0)
+        with pytest.raises(ConfigError):
+            ExecutionPolicy(timeout=0.0)
         with pytest.raises(ConfigError, match="checkpoint_dir"):
             ExecutionPolicy(resume=True)
-
-    def test_with_progress_preserves_everything_else(self):
-        policy = ExecutionPolicy(jobs=3, timeout=1.0)
-        ticks = []
-        callback = ticks.append
-        carrying = policy.with_progress(callback)
-        assert carrying.progress is callback
-        assert carrying.jobs == 3 and carrying.timeout == 1.0
-        # progress is excluded from equality: observation is not
-        # part of the experiment's identity.
-        assert carrying == policy

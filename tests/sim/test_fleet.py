@@ -5,7 +5,9 @@ import json
 import pytest
 
 from repro.core.config import SimConfig
-from repro.errors import ConfigError
+from repro.core.schemes import SCHEME_NAMES
+from repro.errors import ConfigError, WorkloadError
+from repro.sim.engine import prepare_sip_plan, simulate
 from repro.sim.fleet import (
     EPC_POLICIES,
     FleetScenario,
@@ -14,7 +16,9 @@ from repro.sim.fleet import (
     build_scenario,
     simulate_fleet,
 )
+from repro.sim.sweep import SIP_SCHEMES
 from repro.workloads.base import SyntheticWorkload
+from repro.workloads.registry import WORKLOAD_NAMES, build_workload
 from repro.workloads.requests import RequestProfile
 from repro.workloads.synthetic import sequential, uniform_random
 
@@ -337,6 +341,26 @@ class TestChurn:
         assert result.stats.accesses == 0
         assert result.stats.time.total == result.total_cycles
 
+    @pytest.mark.parametrize("scheme", SIP_SCHEMES)
+    def test_empty_trace_sip_tenant_fails_profiling_solo_and_in_fleet(self, scheme):
+        """SIP needs a profiling run: an empty-trace sip/hybrid tenant
+        raises the profiler's WorkloadError, solo and in a fleet alike."""
+        empty = ScriptedWorkload(
+            [], name="empty", footprint_pages=4, instructions={0: "i"}
+        )
+        with pytest.raises(WorkloadError, match="produced an empty trace"):
+            simulate(empty, small_config(), scheme)
+        scenario = FleetScenario(
+            name="empty-sip-trace",
+            tenants=(
+                TenantSpec(workload=stream("s0", passes=1)),
+                TenantSpec(workload=empty, scheme=scheme, arrival=5_000),
+            ),
+            config=small_config(),
+        )
+        with pytest.raises(WorkloadError, match="produced an empty trace"):
+            simulate_fleet(scenario)
+
     def test_duplicate_tenant_names_rejected(self):
         scenario = FleetScenario(
             name="dupes",
@@ -348,6 +372,35 @@ class TestChurn:
         )
         with pytest.raises(ConfigError):
             simulate_fleet(scenario)
+
+
+#: Registry scale of the one-tenant oracle: small enough for tier-1,
+#: large enough that every workload evicts, preloads or trips the valve.
+ORACLE_SCALE = 128
+
+
+class TestOneTenantOracle:
+    """A one-tenant shared-clock fleet with no spin-up, admission cap or
+    request stream runs exactly what ``simulate()`` runs."""
+
+    @pytest.mark.parametrize("name", WORKLOAD_NAMES)
+    def test_one_tenant_fleet_equals_simulate(self, name):
+        config = SimConfig.scaled(ORACLE_SCALE)
+        workload = build_workload(name, scale=ORACLE_SCALE)
+        plan = prepare_sip_plan(workload, config)
+        for scheme in SCHEME_NAMES:
+            sip_plan = plan if scheme in SIP_SCHEMES else None
+            solo = simulate(workload, config, scheme, sip_plan=sip_plan)
+            scenario = FleetScenario(
+                name=f"oracle-{name}",
+                tenants=(
+                    TenantSpec(workload=workload, scheme=scheme, sip_plan=sip_plan),
+                ),
+                config=config,
+            )
+            [result] = simulate_fleet(scenario).results
+            assert result.total_cycles == solo.total_cycles, scheme
+            assert result.stats == solo.stats, scheme
 
 
 class TestPolicies:

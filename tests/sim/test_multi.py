@@ -65,6 +65,31 @@ class TestValidation:
                 config=config,
             )
 
+    @pytest.mark.parametrize(
+        "field, value, match",
+        [
+            ("epc_pages", 0, "epc_pages"),
+            ("epc_pages", -64, "epc_pages"),
+            ("min_quota_pages", 0, "min_quota_pages"),
+            ("input_set", "test", "input set"),
+        ],
+    )
+    @pytest.mark.parametrize("policy", ["shared-clock", "adaptive-quota"])
+    def test_bad_value_rejected_at_construction(
+        self, config, field, value, match, policy
+    ):
+        """Rejected when the scenario is built, not mid-run, under every
+        policy (a quota floor matters only to adaptive-quota)."""
+        with pytest.raises(ConfigError, match=match):
+            FleetScenario(
+                name="bad",
+                tenants=(TenantSpec(workload=seq_workload()),),
+                policy=policy,
+                rebalance_period_cycles=1_000_000,
+                config=config,
+                **{field: value},
+            )
+
 
 class TestAccounting:
     def test_one_result_per_workload_in_order(self, config):

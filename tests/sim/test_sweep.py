@@ -4,7 +4,10 @@ import pytest
 
 from repro.core.config import SimConfig
 from repro.errors import ConfigError
+from repro.sim.engine import simulate
+from repro.sim.parallel import WorkloadSpec
 from repro.sim.sweep import SweepProgress, compare_schemes, sweep_config
+from repro.sim.tracecache import shared_trace_cache, trace_key
 from repro.workloads.base import SyntheticWorkload
 from repro.workloads.synthetic import sequential
 
@@ -41,6 +44,28 @@ class TestCompareSchemes:
         b = compare_schemes(make_workload(), config, ["baseline", "sip"])["baseline"]
         assert a.total_cycles == b.total_cycles
 
+    def test_live_workloads_sharing_name_and_footprint_do_not_collide(self, config):
+        """Two different live workloads with one name and footprint each
+        replay their own trace, in one process."""
+        for passes in (1, 3):
+            workload = SyntheticWorkload(
+                "seq",
+                128,
+                {0: "scan"},
+                [sequential(0, 0, 128, compute=60_000, passes=passes)],
+            )
+            expected = simulate(workload, config, "baseline")
+            result = compare_schemes(workload, config, ["baseline"])["baseline"]
+            assert result.stats.accesses == 128 * passes
+            assert result == expected
+
+    def test_live_workload_stays_out_of_the_shared_cache(self, config):
+        workload = SyntheticWorkload(
+            "live-only", 64, {0: "scan"}, [sequential(0, 0, 64, compute=60_000)]
+        )
+        compare_schemes(workload, config, ["baseline", "dfp"])
+        assert trace_key(workload, 0, "ref") not in shared_trace_cache()
+
 
 class TestSweepConfig:
     def test_labels_attach_to_points(self, config):
@@ -69,6 +94,16 @@ class TestSweepConfig:
         long = points[1].results["dfp-stop"]
         assert long.stats.faults < short.stats.faults
         assert long.total_cycles < short.total_cycles
+
+    def test_spec_sweep_hits_the_shared_cache_across_points(self):
+        cache = shared_trace_cache()
+        configs = [SimConfig.scaled(64).replace(load_length=n) for n in (1, 2, 4)]
+        hits, misses = cache.hits, cache.misses
+        sweep_config(
+            WorkloadSpec("microbenchmark", 64), configs, ["baseline"], values=[1, 2, 4]
+        )
+        assert cache.misses - misses <= 1
+        assert cache.hits - hits >= 2
 
     def test_repr_mentions_value(self, config):
         points = sweep_config(make_workload, [config], ["baseline"], values=["x"])
