@@ -36,7 +36,7 @@ from repro.core.dfp import DfpEngine
 from repro.enclave.enclave import Enclave
 from repro.enclave.events import EventKind, TimelineEvent
 from repro.enclave.epc import PAGE_ACCESSED, PAGE_PRELOADED
-from repro.enclave.loader import LoadKind
+from repro.enclave.loader import IDLE_DUE, LoadKind
 from repro.enclave.page_table import SharedBitmap
 from repro.enclave.platform import SharedPlatform
 from repro.enclave.sanitizer import SimSanitizer
@@ -219,18 +219,18 @@ class SgxDriver:
     def _apply_load(self, page: int, kind: LoadKind, finish: int) -> bool:
         """Land one page of this enclave in the EPC at ``finish``.
 
-        Chooses a CLOCK victim when the EPC is full — possibly another
-        enclave's page, whose owner gets the eviction bookkeeping — or,
-        under a per-tenant frame policy, wherever the policy says; then
-        every load lands through the same tail.  Returns True when a
-        victim was evicted, so the channel can charge the EWB
-        housekeeping time.
+        A full EPC gives the CLOCK victim's frame and ring slot to ``page``
+        (the victim's owner, maybe another enclave, gets the eviction
+        bookkeeping); a per-tenant frame policy frees frames its own way.
+        Returns True when a victim was evicted, so the channel can charge
+        the EWB housekeeping time.
         """
+        if not self._base_page <= page < self._limit_page:
+            raise SimulationError(f"load completed for unowned page {page}")
         evicted = False
         epc = self.epc
         if self._status_table[page]:
-            # Already resident (the table spans this enclave's ELRANGE,
-            # and loads are routed to the owning driver).
+            # Already resident (the table spans this enclave's ELRANGE).
             if kind is LoadKind.PRELOAD:
                 self.stats.preloads_redundant += 1
                 if self.sanitizer is not None:
@@ -238,6 +238,7 @@ class SgxDriver:
                 if self._profiling:
                     self._profiler.ledger_redundant(page, finish)
             return evicted
+        preloaded = kind is LoadKind.PRELOAD
         frames = self._platform.frames
         if frames is not None:
             # Per-tenant frame policy (fleet scenarios): the manager
@@ -253,18 +254,18 @@ class SgxDriver:
                 evicted = True
                 victim_owner = self._platform.owner_of(victim) or self
                 victim_owner._note_eviction(code)
+            epc.insert(page, preloaded=preloaded)
+            frames.note_insert(self, page)
         elif epc.is_full:
             evictor = self.evictor
             chances_before = evictor.second_chances
             victim = evictor.select_victim()
-            code = epc.evict(victim)
-            evictor.note_evict(victim)
+            code = epc.swap(victim, page, preloaded=preloaded)
+            evictor.note_swap(victim, page)
             evicted = True
-            platform = self._platform
-            if len(platform._owners) == 1:
-                victim_owner = self
-            else:
-                victim_owner = platform.owner_of(victim) or self
+            victim_owner = self
+            if not self._base_page <= victim < self._limit_page:
+                victim_owner = self._platform.owner_of(victim) or self
             victim_owner._note_eviction(code)
             if victim_owner._profiling:
                 victim_owner._profiler.ledger_evict(
@@ -272,20 +273,18 @@ class SgxDriver:
                     finish,
                     accessed=bool(code & PAGE_ACCESSED),
                     preloaded=bool(code & PAGE_PRELOADED),
-                    second_chances=self.evictor.second_chances - chances_before,
+                    second_chances=evictor.second_chances - chances_before,
                     for_page=page,
                     for_kind=kind.value,
                 )
-        epc.insert(page, preloaded=(kind is LoadKind.PRELOAD))
-        if frames is not None:
-            frames.note_insert(self, page)
         else:
+            epc.insert(page, preloaded=preloaded)
             self.evictor.note_insert(page)
         if self._profiling:
             self._profiler.ledger_insert(page, kind.value, finish)
         if self.sanitizer is not None:
             self.sanitizer.check_load(page, kind, finish)
-        if kind is LoadKind.PRELOAD:
+        if preloaded:
             self.stats.preloads_completed += 1
             if self._dfp is not None:
                 self._dfp.note_preload_completed()
@@ -297,11 +296,6 @@ class SgxDriver:
                     page,
                 )
         return evicted
-
-    def _queued_pages_of_tag(self, tag: int) -> List[int]:
-        """Snapshot of the queued pages belonging to one burst."""
-        channel = self.channel
-        return [p for p in channel.queued_pages if channel.queued_tag(p) == tag]
 
     def _after_scan(self, now: int, credited: int) -> None:
         """Platform hook: the global service-thread scan just ran."""
@@ -318,12 +312,9 @@ class SgxDriver:
                 self._dfp.credit_accessed(credited)
             if self._dfp.check_valve():
                 self.stats.valve_stops += 1
-                base = self._enclave.base_page
-                limit = base + self._enclave.elrange_pages
+                base, limit = self._base_page, self._limit_page
                 if self.sanitizer is not None or self._profiling:
-                    doomed = [
-                        p for p in self.channel.queued_pages if base <= p < limit
-                    ]
+                    doomed = [p for p in self.channel.queued_pages if base <= p < limit]
                     if self.sanitizer is not None:
                         self.sanitizer.check_abort(doomed, now)
                     if self._profiling:
@@ -354,9 +345,7 @@ class SgxDriver:
         before both, a poll would change nothing.
         """
         if now < self._last_now:
-            raise SimulationError(
-                f"time went backwards: {now} < {self._last_now}"
-            )
+            raise SimulationError(f"time went backwards: {now} < {self._last_now}")
         self._last_now = now
         platform = self._platform
         if now >= platform.next_scan or now >= self.channel.due:
@@ -404,9 +393,7 @@ class SgxDriver:
         # the next scan and the channel's ``due`` a poll changes
         # nothing, so it is skipped.
         if now < self._last_now:
-            raise SimulationError(
-                f"time went backwards: {now} < {self._last_now}"
-            )
+            raise SimulationError(f"time went backwards: {now} < {self._last_now}")
         self._last_now = now
         platform = self._platform
         channel = self.channel
@@ -435,13 +422,14 @@ class SgxDriver:
                 self._emit(EventKind.AEX, now, t)
             if t >= channel.due:
                 channel.advance_to(t)
-
+            # An idle channel has no load in flight or queued to probe.
+            idle = channel.due == IDLE_DUE
             if status[page]:
                 # A preload landed during the AEX itself.
                 stats.faults_absorbed_by_inflight += 1
                 if self._profiling:
                     self._profiler.ledger_fault(page, t, "absorbed")
-            elif channel.current_page == page:
+            elif not idle and channel.current_page == page:
                 # The page is mid-load on the non-preemptible channel:
                 # ride the in-flight preload to completion.
                 finish = channel.wait_for_current(t)
@@ -454,13 +442,14 @@ class SgxDriver:
                 if self._profiling:
                     self._profiler.ledger_fault(page, t, "absorbed")
             else:
-                burst_tag = channel.queued_tag(page)
+                burst_tag = None if idle else channel.queued_tag(page)
                 if burst_tag is not None:
                     # Fault inside a queued burst: the preloader fell
                     # behind — abort that burst's remainder (in-stream
                     # abort, Section 4.1).
                     if self.sanitizer is not None or self._profiling:
-                        doomed = self._queued_pages_of_tag(burst_tag)
+                        tag_of = channel.queued_tag
+                        doomed = [p for p in channel.queued_pages if tag_of(p) == burst_tag]
                         if self.sanitizer is not None:
                             self.sanitizer.check_abort(doomed, t)
                         if self._profiling:
@@ -538,7 +527,14 @@ class SgxDriver:
                 f"SIP notification for page {page} outside ELRANGE"
             )
         self._clock_hw = now
-        self.poll(now)
+        # Inlined poll(), on the same when-due test as access().
+        if now < self._last_now:
+            raise SimulationError(f"time went backwards: {now} < {self._last_now}")
+        self._last_now = now
+        platform = self._platform
+        channel = self.channel
+        if now >= platform.next_scan or now >= channel.due:
+            platform.poll(now)
         cost = self._cost
         stats = self.stats
         stats.sip_checks += 1
@@ -546,7 +542,6 @@ class SgxDriver:
         stats.time.sip_check += cost.bitmap_check_cycles
         if self._observing:
             self._emit(EventKind.SIP_CHECK, now, t, page)
-        channel = self.channel
         if t >= channel.due:
             channel.advance_to(t)
         if self.bitmap.check(page):

@@ -190,8 +190,8 @@ class Epc:
         resident codes.  The object is grown in place and never
         rebound, so hot paths may hold it (or a bound
         ``__getitem__``) across residency changes.  Residency changes
-        go through :meth:`insert`/:meth:`evict`, which keep the
-        resident count; the driver, the evictor and the platform scan
+        go through :meth:`insert`, :meth:`evict` and :meth:`swap`, which
+        keep the counts; the driver, the evictor and the platform scan
         edit only the accessed and preloaded bits in place.
         """
         return self._status
@@ -246,6 +246,21 @@ class Epc:
         status[page] = PAGE_ABSENT
         self._count -= 1
         self.total_evictions += 1
+        return code
+
+    def swap(self, victim: int, page: int, *, preloaded: bool = False) -> int:
+        """``evict(victim)`` then ``insert(page, preloaded=preloaded)`` in one step:
+        the same state, victim byte and errors, for a ``page`` the table covers."""
+        status = self._status
+        code = status[victim] if 0 <= victim < len(status) else PAGE_ABSENT
+        if code == PAGE_ABSENT:
+            raise EpcError(f"cannot evict non-resident page {victim}")
+        if page != victim and status[page]:
+            raise EpcError(f"page {page} is already resident")
+        status[victim] = PAGE_ABSENT
+        status[page] = PAGE_RESIDENT | PAGE_PRELOADED if preloaded else PAGE_RESIDENT
+        self.total_evictions += 1
+        self.total_inserts += 1
         return code
 
     def mark_accessed(self, page: int) -> EpcPageState:

@@ -79,6 +79,18 @@ class ClockEvictor:
         self._ring[slot] = None
         self._free_slots.append(slot)
 
+    def note_swap(self, victim: int, page: int) -> None:
+        """``note_evict(victim)`` then ``note_insert(page)`` in one step: the
+        free-slot list is LIFO, so ``page`` takes ``victim``'s ring slot."""
+        slot_of = self._slot_of
+        slot = slot_of.pop(victim, None)
+        if slot is None:
+            raise EpcError(f"page {victim} not tracked by the evictor")
+        if page in slot_of:
+            raise EpcError(f"page {page} already tracked by the evictor")
+        self._ring[slot] = page
+        slot_of[page] = slot
+
     # ------------------------------------------------------------------
     # Victim selection
     # ------------------------------------------------------------------

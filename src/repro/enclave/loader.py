@@ -16,7 +16,7 @@ synchronously from the application's point of view; DFP preloads are
 queued and drained asynchronously in the background, overlapping with
 enclave execution.  ``advance_to(now)`` retires every background load
 that completed by ``now``, applying it to the EPC via the callback the
-driver installs — so eviction decisions happen in correct time order.
+platform installs — so eviction decisions happen in correct time order.
 
 Queued preloads are grouped into **bursts** (one burst per predictor
 hit), each identified by a tag.  The driver uses tags to implement the
@@ -88,7 +88,8 @@ class LoadChannel:
             raise ChannelError(f"evict_cycles must be non-negative, got {evict_cycles}")
         self._load_cycles = load_cycles
         self._evict_cycles = evict_cycles
-        self._apply = apply_load
+        #: The landing callback; the owning platform may rewire it.
+        self.apply_load = apply_load
         # Time the channel becomes free of the *current* load.  When
         # idle this lags behind `now` until the next use.
         self._free_at = 0
@@ -156,7 +157,7 @@ class LoadChannel:
                 self._current = None
                 if kind is LoadKind.PRELOAD:
                     self.preloads_completed += 1
-                evicted = self._apply(page, kind, finish)
+                evicted = self.apply_load(page, kind, finish)
                 self._free_at = finish + (self._evict_cycles if evicted else 0)
             elif self._queue:
                 page, _tag = self._queue.popleft()
@@ -250,7 +251,7 @@ class LoadChannel:
         self.due = 0 if self._queue else IDLE_DUE
         if kind is LoadKind.PRELOAD:
             self.preloads_completed += 1
-        evicted = self._apply(page, kind, finish)
+        evicted = self.apply_load(page, kind, finish)
         self._free_at = finish + (self._evict_cycles if evicted else 0)
         return finish
 
@@ -294,6 +295,6 @@ class LoadChannel:
             self.demand_loads += 1
         else:
             self.sip_loads += 1
-        evicted = self._apply(page, kind, finish)
+        evicted = self.apply_load(page, kind, finish)
         self._free_at = finish + (self._evict_cycles if evicted else 0)
         return finish

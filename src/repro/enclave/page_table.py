@@ -17,7 +17,7 @@ mirroring the trust boundary in the real system.
 
 from __future__ import annotations
 
-from repro.enclave.epc import Epc
+from repro.enclave.epc import PAGE_ABSENT, Epc
 from repro.errors import EpcError
 
 __all__ = ["SharedBitmap"]
@@ -41,7 +41,8 @@ class SharedBitmap:
             )
         if base_page < 0:
             raise EpcError(f"base_page must be non-negative, got {base_page}")
-        self._epc = epc
+        epc.ensure_page_span(base_page + elrange_pages)  # check() reads the byte directly
+        self._status = epc.status_table
         self._base_page = base_page
         self._elrange_pages = elrange_pages
         #: Number of BIT_MAP_CHECK reads performed (stats only).
@@ -69,4 +70,4 @@ class SharedBitmap:
                 f"starting at {self._base_page}"
             )
         self.reads += 1
-        return self._epc.is_resident(page)
+        return self._status[page] != PAGE_ABSENT

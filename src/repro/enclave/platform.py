@@ -68,7 +68,6 @@ class SharedPlatform:
     """The physical SGX resources shared by one or more enclaves."""
 
     def __init__(self, config: SimConfig) -> None:
-        self._config = config
         self.epc = Epc(config.epc_pages)
         self.evictor = ClockEvictor(self.epc)
         self.channel = LoadChannel(
@@ -85,6 +84,7 @@ class SharedPlatform:
         #: Time of the next service-thread scan.  Before both it and
         #: ``channel.due`` a :meth:`poll` has nothing to do.
         self.next_scan = config.scan_period_cycles
+        self._scan_period = config.scan_period_cycles
         self._last_now = 0
         #: Optional per-tenant frame policy (:class:`FrameManager`).
         #: ``None`` — the default for every solo run and the legacy
@@ -112,6 +112,8 @@ class SharedPlatform:
         self._owners.append((base, limit, driver))
         self._owners.sort(key=lambda item: item[0])
         self._bases = [lo for lo, _hi, _d in self._owners]
+        # A lone owner takes every landing itself, with no routing hop.
+        self.channel.apply_load = self._on_load if len(self._owners) > 1 else driver._apply_load
         # Cover the enclave's page range in the status table up front
         # so the per-access hot paths can index it unconditionally.
         self.epc.ensure_page_span(limit)
@@ -140,14 +142,8 @@ class SharedPlatform:
     # ------------------------------------------------------------------
 
     def _on_load(self, page: int, kind: LoadKind, finish: int) -> bool:
-        """Channel callback: route the landing to the owning driver."""
-        owners = self._owners
-        if len(owners) == 1:
-            lo, hi, owner = owners[0]
-            if not lo <= page < hi:
-                owner = None
-        else:
-            owner = self.owner_of(page)
+        """Channel callback of a multi-owner platform: route the landing to its owner."""
+        owner = self.owner_of(page)
         if owner is None:
             raise SimulationError(f"load completed for unowned page {page}")
         return owner._apply_load(page, kind, finish)
@@ -173,12 +169,15 @@ class SharedPlatform:
             # moves forward.
             now = self._last_now
         self._last_now = now
+        channel = self.channel
         while self.next_scan <= now:
             scan_time = self.next_scan
-            self.channel.advance_to(scan_time)
+            if scan_time >= channel.due:
+                channel.advance_to(scan_time)
             self._scan(scan_time)
-            self.next_scan += self._config.scan_period_cycles
-        self.channel.advance_to(now)
+            self.next_scan = scan_time + self._scan_period
+        if now >= channel.due:
+            channel.advance_to(now)
 
     def _scan(self, now: int) -> None:
         """One global scan: age access bits, credit preloads per owner,
@@ -189,11 +188,14 @@ class SharedPlatform:
         exactly one ``RESIDENT|ACCESSED|PRELOADED`` byte), then a
         single translation pass clears every accessed bit.  Ranges are
         disjoint and non-resident bytes are ``PAGE_ABSENT``, so this
-        is equivalent to the per-resident-page walk it replaces.
+        is equivalent to the per-resident-page walk it replaces.  When a
+        memchr finds no credited byte at all, no count runs.
         """
         status = self.epc.status_table
         owners = self._owners
-        if len(owners) == 1:
+        if _PAGE_CREDITED not in status:
+            credits = (0,) * len(owners)
+        elif len(owners) == 1:
             credits = (status.count(_PAGE_CREDITED),)
         else:
             credits = tuple(

@@ -44,10 +44,13 @@ __all__ = [
 #: every scale-16 workload model at once, small next to the EPC model.
 DEFAULT_TRACE_CACHE_BYTES = 256 * MIB
 
-#: Identity of one materialized trace.  The footprint is part of the
-#: key because workload *names* do not encode the build scale — ``lbm``
-#: at scale 4 and scale 16 are different traces under the same name.
-CacheKey = Tuple[str, int, int, str]
+#: Identity of one materialized trace: ``(name, scale, footprint_pages,
+#: seed, input_set)``.  Workload *names* do not encode the build scale,
+#: and the footprint cannot stand in for it: registry footprints are
+#: floored at 192 pages, so ``leela`` at scales 32 and 64 share one
+#: footprint but not one trace.  The registry stamps the scale; the
+#: footprint still tells apart workloads built outside it (scale None).
+CacheKey = Tuple[str, Optional[int], int, int, str]
 
 
 @dataclass(frozen=True)
@@ -97,7 +100,7 @@ def materialize(workload: Workload, *, seed: int, input_set: str) -> Materialize
 
 def trace_key(workload: Workload, seed: int, input_set: str) -> CacheKey:
     """The cache identity of one ``(workload, seed, input_set)`` trace."""
-    return (workload.name, workload.footprint_pages, seed, input_set)
+    return (workload.name, workload.scale, workload.footprint_pages, seed, input_set)
 
 
 class TraceCache:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, Iterator, Mapping, Tuple
+from typing import Callable, Dict, Iterable, Iterator, Mapping, Optional, Tuple
 
 from repro.errors import WorkloadError
 
@@ -46,6 +46,10 @@ class Workload(abc.ABC):
 
     #: Input sets every workload supports.
     INPUT_SETS: Tuple[str, ...] = ("train", "ref")
+
+    #: Build scale, stamped by :func:`repro.workloads.registry.build_workload`
+    #: (None for a workload built outside the registry).
+    scale: Optional[int] = None
 
     def __init__(self, name: str, footprint_pages: int) -> None:
         if not name:

@@ -94,4 +94,6 @@ def build_workload(name: str, *, scale: int = 1) -> Workload:
         raise WorkloadError(
             f"unknown workload {name!r}; expected one of {', '.join(WORKLOAD_NAMES)}"
         ) from None
-    return factory(scale)
+    workload = factory(scale)
+    workload.scale = scale
+    return workload

@@ -46,6 +46,43 @@ class TestScanScheduling:
         assert not driver.epc.state_of(1).accessed
 
 
+class TestDueBoundaries:
+    """A load due exactly at a scan or at a touch lands before it: every
+    when-due test that skips a poll or an advance is ``>=``, not ``>``."""
+
+    def make_full(self):
+        config = SimConfig(epc_pages=4, scan_period_cycles=10 * SCAN)
+        return SgxDriver(config, Enclave("t", elrange_pages=64)), config
+
+    def test_landing_due_at_a_scan_lands_before_it(self):
+        """Its CLOCK sweep still sees the A bits the scan then ages."""
+        driver, config = self.make_full()
+        t = 0
+        for page in range(4):
+            t = driver.access(page, t)  # EPC full, every A bit set
+        driver.epc.clear_accessed(2)
+        driver.epc.clear_accessed(3)
+        channel = driver.channel
+        scan = config.scan_period_cycles
+        channel.enqueue_preloads([10], scan - channel.load_cycles)
+        channel.advance_to(scan - 1)
+        assert channel.due == scan
+        driver.poll(scan)
+        # Swept before aging: pages 0 and 1 get second chances, 2 goes.
+        resident = [driver.epc.is_resident(page) for page in (0, 1, 2, 3, 10)]
+        assert resident == [True, True, False, True, True]
+        assert driver.stats.scans == 1
+
+    def test_landing_due_at_a_touch_lands_before_it(self):
+        """The touch is a preload hit, not a fault absorbed by the load."""
+        driver, _config = self.make_full()
+        channel = driver.channel
+        channel.enqueue_preloads([10], 0)
+        channel.advance_to(0)
+        driver.access(10, channel.due)
+        assert (driver.stats.faults, driver.stats.preload_hits) == (0, 1)
+
+
 class TestPreloadAccounting:
     def _preload_and_touch(self, driver, touch: bool):
         t = driver.access(10, 0)

@@ -6,6 +6,7 @@ from repro.core.config import SimConfig
 from repro.core.dfp import DfpConfig, DfpEngine
 from repro.enclave.driver import SgxDriver
 from repro.enclave.enclave import Enclave
+from repro.enclave.loader import LoadKind
 from repro.enclave.platform import SharedPlatform
 from repro.errors import SimulationError
 
@@ -97,6 +98,40 @@ class TestSharedResources:
         add_enclave(platform, config, "b", 100, 100)
         with pytest.raises(SimulationError):
             a.access(150, 0)
+
+
+class TestUnownedLanding:
+    """A load that lands on a page no registered enclave owns is a
+    simulator fault, whether the channel calls the lone owner's driver
+    directly or routes through the platform."""
+
+    def owned_platform(self, owners):
+        platform, config = make_platform()
+        add_enclave(platform, config, "a", 100, 100)
+        if owners == 2:
+            add_enclave(platform, config, "b", 300, 100)
+        return platform
+
+    # Below the first owner but inside the status table, in the gap or
+    # past the end, and a negative page (which would index from the end).
+    PAGES = [50, 250, 400, -1]
+
+    @pytest.mark.parametrize("owners", [1, 2])
+    @pytest.mark.parametrize("page", PAGES)
+    def test_sync_load(self, owners, page):
+        platform = self.owned_platform(owners)
+        with pytest.raises(SimulationError, match=f"unowned page {page}"):
+            platform.channel.load_sync(page, LoadKind.DEMAND, 0)
+        assert platform.epc.resident_count == 0
+
+    @pytest.mark.parametrize("owners", [1, 2])
+    @pytest.mark.parametrize("page", PAGES)
+    def test_queued_preload(self, owners, page):
+        platform = self.owned_platform(owners)
+        platform.channel.enqueue_preloads([page], 0)
+        with pytest.raises(SimulationError, match=f"unowned page {page}"):
+            platform.poll(10 * platform.channel.load_cycles)
+        assert platform.epc.resident_count == 0
 
 
 class TestSharedScan:

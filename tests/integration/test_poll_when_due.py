@@ -1,10 +1,20 @@
-"""Differential test: polling only when work is due changes nothing.
+"""Differential test: the lean poll, landing and scan paths change nothing.
 
-``SgxDriver.access`` and ``SgxDriver.poll`` skip ``SharedPlatform.poll``,
-and the fault and SIP paths skip ``LoadChannel.advance_to``, while
-``now`` is before both the next scan and ``channel.due``.  A channel
-whose ``due`` always reads 0 makes every entry point poll and advance
-unconditionally; every manifest must be byte-identical either way.
+``SgxDriver.access``, ``SgxDriver.sip_prefetch`` and ``SgxDriver.poll``
+skip ``SharedPlatform.poll``, and the fault, SIP and scan paths skip
+``LoadChannel.advance_to``, while ``now`` is before both the next scan
+and ``channel.due``; a fault on an idle channel skips its in-flight and
+queued-burst probes.  A one-owner platform lands loads straight on its
+driver, and a full EPC lands a page in its CLOCK victim's frame and
+ring slot with one ``Epc.swap`` and one ``ClockEvictor.note_swap``.
+
+The forced run undoes all of that: a channel whose ``due`` always reads
+0 makes every entry point poll, advance and probe; every landing is
+routed through ``SharedPlatform._on_load``; each swap runs as the
+evict, note_evict, insert and note_insert it replaces (the EPC and the
+ring keep disjoint state, so how the two pairs interleave is moot); and
+every scan counts every owner's credited bytes, with no memchr first.
+Every manifest must be byte-identical either way.
 """
 
 import dataclasses
@@ -14,8 +24,11 @@ import pytest
 
 from repro.core.config import SimConfig
 from repro.core.schemes import SCHEME_NAMES
+from repro.enclave.driver import SgxDriver
+from repro.enclave.epc import Epc
+from repro.enclave.eviction import ClockEvictor
 from repro.enclave.loader import LoadChannel
-from repro.enclave.platform import SharedPlatform
+from repro.enclave.platform import _PAGE_CREDITED, _SCAN_AGING, SharedPlatform
 from repro.obs.manifest import build_manifest
 from repro.sim.engine import prepare_sip_plan, simulate
 from repro.sim.fleet import EPC_POLICIES, build_scenario, simulate_fleet
@@ -32,12 +45,52 @@ class AlwaysDueChannel(LoadChannel):
     due = property(lambda self: 0, lambda self, value: None)
 
 
+def _swap_by_evict_insert(self, victim, page, *, preloaded=False):
+    code = self.evict(victim)
+    self.insert(page, preloaded=preloaded)
+    return code
+
+
+def _note_swap_by_evict_insert(self, victim, page):
+    self.note_evict(victim)
+    self.note_insert(page)
+
+
+def _scan_counting_every_owner(self, now):
+    status = self.epc.status_table
+    credits = [status.count(_PAGE_CREDITED, lo, hi) for lo, hi, _driver in self._owners]
+    status[:] = status.translate(_SCAN_AGING)
+    for (_lo, _hi, driver), credited in zip(self._owners, credits):
+        driver._after_scan(now, credited)
+
+
 def _always_polling(monkeypatch):
+    """Force the paths the lean ones skip (see the module docstring)."""
     monkeypatch.setattr("repro.enclave.platform.LoadChannel", AlwaysDueChannel)
+    register = SharedPlatform.register
+
+    def routed_register(self, driver):
+        register(self, driver)
+        self.channel.apply_load = self._on_load
+
+    monkeypatch.setattr(SharedPlatform, "register", routed_register)
+    monkeypatch.setattr(Epc, "swap", _swap_by_evict_insert)
+    monkeypatch.setattr(ClockEvictor, "note_swap", _note_swap_by_evict_insert)
+    monkeypatch.setattr(SharedPlatform, "_scan", _scan_counting_every_owner)
 
 
 def _dump(manifest) -> str:
     return json.dumps(manifest, indent=2, sort_keys=True)
+
+
+def _counting(monkeypatch, cls, name, calls):
+    real = getattr(cls, name)
+
+    def counted(self, *args, **kwargs):
+        calls[name] = calls.get(name, 0) + 1
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(cls, name, counted)
 
 
 def test_always_due_channel_really_polls_every_access(monkeypatch):
@@ -59,6 +112,34 @@ def test_always_due_channel_really_polls_every_access(monkeypatch):
     simulate(workload, config, "baseline")
     assert len(calls) == blind.stats.accesses + 1  # every access + finish
     assert polls_when_due < len(calls)
+
+
+def test_forced_run_really_routes_and_evicts_the_old_way(monkeypatch):
+    """Guard for the oracle: the forced run lands every load through
+    ``_on_load`` and evicts through ``Epc.evict``; the lean run does
+    neither, and swaps instead."""
+    config = SimConfig.scaled(SCALE)
+    workload = build_workload("lbm", scale=SCALE)
+    calls = {}
+    for cls, name in (
+        (SgxDriver, "_apply_load"),
+        (SharedPlatform, "_on_load"),
+        (Epc, "evict"),
+        (Epc, "swap"),
+    ):
+        _counting(monkeypatch, cls, name, calls)
+    lean = simulate(workload, config, "dfp").stats
+    landings = calls["_apply_load"]
+    assert lean.evictions > 0
+    assert calls == {"_apply_load": landings, "swap": lean.evictions}
+    calls.clear()
+    _always_polling(monkeypatch)
+    forced = simulate(workload, config, "dfp").stats
+    assert calls == {
+        "_apply_load": landings,
+        "_on_load": landings,
+        "evict": forced.evictions,
+    }
 
 
 @pytest.mark.parametrize("name", WORKLOAD_NAMES)

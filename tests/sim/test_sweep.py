@@ -59,6 +59,18 @@ class TestCompareSchemes:
             assert result.stats.accesses == 128 * passes
             assert result == expected
 
+    def test_two_scales_with_one_floored_footprint_get_their_own_traces(self):
+        """Registry footprints are floored at 192 pages, so leela at
+        scales 32 and 64 share a footprint; the shared cache must still
+        serve each scale its own trace."""
+        shared_trace_cache().clear()
+        compare_schemes(WorkloadSpec("leela", 32), SimConfig.scaled(32), ["baseline"])
+        config = SimConfig.scaled(64)
+        result = compare_schemes(WorkloadSpec("leela", 64), config, ["baseline"])["baseline"]
+        expected = simulate(WorkloadSpec("leela", 64).build(), config, "baseline")
+        assert result == expected
+        assert (result.total_cycles, result.stats.accesses) == (44_801_835, 6_500)
+
     def test_live_workload_stays_out_of_the_shared_cache(self, config):
         workload = SyntheticWorkload(
             "live-only", 64, {0: "scan"}, [sequential(0, 0, 64, compute=60_000)]

@@ -50,6 +50,13 @@ class TestTraceCache:
         assert len(cache) == 2
         assert len(a) != len(b)
 
+    def test_key_includes_the_registry_scale(self):
+        """Footprints floored at 192 pages cannot tell leela's scales apart."""
+        small, large = build_workload("leela", scale=64), build_workload("leela", scale=32)
+        assert small.footprint_pages == large.footprint_pages
+        assert (small.scale, large.scale) == (64, 32)
+        assert trace_key(small, 0, "ref") != trace_key(large, 0, "ref")
+
     def test_key_includes_seed_and_input_set(self):
         cache = TraceCache()
         workload = build_workload("microbenchmark", scale=SCALE)
