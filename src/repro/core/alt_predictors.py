@@ -16,7 +16,7 @@ module provides the two classic alternatives behind the ablation bench
   the paper cites ([15]): remember which page followed which, prefetch
   the recorded successors.
 
-Both implement the same ``on_fault(npn) -> list[int]`` protocol as
+All three implement the same ``on_fault(npn) -> list[int]`` protocol as
 :class:`repro.core.predictor.MultiStreamPredictor`, so they drop into
 :class:`repro.core.dfp.DfpEngine` unchanged.  The ablation shows the
 expected result: next-line floods the exclusive load channel on

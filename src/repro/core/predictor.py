@@ -36,7 +36,7 @@ __all__ = ["MultiStreamPredictor", "StreamEntry"]
 
 @dataclass
 class StreamEntry:
-    """One tracked fault stream.
+    """One tracked fault stream, as :attr:`MultiStreamPredictor.streams` reports it.
 
     ``stpn`` is the page of the stream's most recent fault; ``direction``
     is +1 for ascending streams, -1 for descending ones.  ``hits``
@@ -50,7 +50,19 @@ class StreamEntry:
 
 
 class MultiStreamPredictor:
-    """LRU list of fault streams with windowed sequential matching."""
+    """LRU list of fault streams with windowed sequential matching.
+
+    The list is kept as three parallel int lists — tails, directions
+    and hit counts, least recently used first, so the head is the last
+    slot — plus a multiset of *keys*, ``direction * tail``, one per
+    stream.  A head extension is decided and applied in place.  Any
+    other match needs a key in one of two ranges of ``LOADLENGTH + 1``
+    values, so a fault that extends nothing is told apart by dict
+    probes, without walking the list; only a probe that passes walks
+    it, most recent first.  A probe never fails falsely.  It can pass
+    falsely, as keys of the two directions meet at and below 0, and the
+    walk then finds no match.
+    """
 
     def __init__(
         self,
@@ -65,9 +77,14 @@ class MultiStreamPredictor:
             raise ConfigError(f"load length must be positive, got {load_length}")
         self._length = length
         self._load_length = load_length
+        self._window = load_length + 1
         self._track_backward = track_backward
-        # Head of the list (index 0) is the most recently used entry.
-        self._streams: List[StreamEntry] = []
+        self._tails: List[int] = []
+        self._dirs: List[int] = []
+        self._hits: List[int] = []
+        # key -> number of streams with that key; ``_keys`` is its live view.
+        self._key_count: Dict[int, int] = {}
+        self._keys = self._key_count.keys()
         # Lifetime counters.
         self.stream_hits = 0
         self.stream_misses = 0
@@ -91,7 +108,12 @@ class MultiStreamPredictor:
     @property
     def streams(self) -> Tuple[StreamEntry, ...]:
         """Snapshot of the stream list, most recently used first."""
-        return tuple(self._streams)
+        return tuple(
+            StreamEntry(tail, direction, hits)
+            for tail, direction, hits in zip(
+                reversed(self._tails), reversed(self._dirs), reversed(self._hits)
+            )
+        )
 
     def counters(self) -> Dict[str, int]:
         """Lifetime counters, JSON-ready (for metrics and manifests)."""
@@ -99,23 +121,55 @@ class MultiStreamPredictor:
             "stream_hits": self.stream_hits,
             "stream_misses": self.stream_misses,
             "stream_recycles": self.stream_recycles,
-            "streams_active": len(self._streams),
+            "streams_active": len(self._tails),
         }
 
     def _match(self, npn: int) -> Optional[int]:
-        """Return the index of the stream ``npn`` extends, or None.
+        """Return the slot of the stream ``npn`` extends, or None.
 
         A fault extends an ascending stream when it lands within the
         window ``(stpn, stpn + LOADLENGTH + 1]`` — i.e. it is the next
         fault a stream that had its burst preloaded would produce.
-        Descending streams mirror the window.
+        Descending streams mirror the window.  The most recently used
+        matching stream wins.
         """
-        window = self._load_length + 1
-        for index, entry in enumerate(self._streams):
-            delta = (npn - entry.stpn) * entry.direction
-            if 0 < delta <= window:
-                return index
+        window = self._window
+        keys = self._keys
+        if keys.isdisjoint(range(npn - window, npn)) and (
+            not self._track_backward or keys.isdisjoint(range(-npn - window, -npn))
+        ):
+            return None
+        tails = self._tails
+        dirs = self._dirs
+        for slot in range(len(tails) - 1, -1, -1):
+            if 0 < (npn - tails[slot]) * dirs[slot] <= window:
+                return slot
         return None
+
+    def _flip_candidate(self, npn: int) -> Optional[int]:
+        """Slot of the most recent never-extended stream just above ``npn``.
+
+        A stream that has never been extended has an unconfirmed
+        direction (and is ascending): a fault just *below* its tail
+        reveals a descending stream.
+        """
+        window = self._window
+        if self._keys.isdisjoint(range(npn + 1, npn + window + 1)):
+            return None
+        tails = self._tails
+        hits = self._hits
+        for slot in range(len(tails) - 1, -1, -1):
+            if hits[slot] == 0 and 0 < tails[slot] - npn <= window:
+                return slot
+        return None
+
+    def _drop_key(self, key: int) -> None:
+        """Remove one stream's key from the multiset."""
+        count = self._key_count
+        if count[key] > 1:
+            count[key] -= 1
+        else:
+            del count[key]
 
     # ------------------------------------------------------------------
     # Algorithm 1
@@ -131,39 +185,56 @@ class MultiStreamPredictor:
         """
         if npn < 0:
             raise ConfigError(f"page number must be non-negative, got {npn}")
-        index = self._match(npn)
-        if index is None and self._track_backward:
-            # A stream that has never been extended has an unconfirmed
-            # direction: a fault just *below* such a tail reveals a
-            # descending stream.  Flip it and match.
-            window = self._load_length + 1
-            for i, entry in enumerate(self._streams):
-                if entry.hits == 0 and 0 < entry.stpn - npn <= window:
-                    entry.direction = -1
-                    index = i
-                    break
-        if index is not None:
-            entry = self._streams.pop(index)
-            entry.stpn = npn
-            entry.hits += 1
-            self._streams.insert(0, entry)
+        tails = self._tails
+        dirs = self._dirs
+        count = self._key_count
+        head = len(tails) - 1
+        if head >= 0 and 0 < (npn - tails[head]) * dirs[head] <= self._window:
+            slot = head
+        else:
+            slot = self._match(npn)
+            if slot is None and self._track_backward:
+                slot = self._flip_candidate(npn)
+                if slot is not None:
+                    # Re-key it as descending; the extension below moves it on.
+                    self._drop_key(tails[slot])
+                    dirs[slot] = -1
+                    count[-tails[slot]] = count.get(-tails[slot], 0) + 1
+        if slot is not None:
+            step = dirs[slot]
+            self._drop_key(step * tails[slot])
+            key = step * npn
+            count[key] = count.get(key, 0) + 1
+            hits = self._hits
+            if slot == head:
+                tails[slot] = npn
+                hits[slot] += 1
+            else:
+                extended = hits.pop(slot) + 1
+                del tails[slot], dirs[slot]
+                tails.append(npn)
+                dirs.append(step)
+                hits.append(extended)
             self.stream_hits += 1
-            step = entry.direction
-            burst = [npn + step * k for k in range(1, self._load_length + 1)]
-            return [page for page in burst if page >= 0]
+            if step > 0:
+                return list(range(npn + 1, npn + 1 + self._load_length))
+            return list(range(npn - 1, max(npn - 1 - self._load_length, -1), -1))
 
         self.stream_misses += 1
-        if len(self._streams) >= self._length:
+        hits = self._hits
+        if len(tails) >= self._length:
             self.stream_recycles += 1
-            recycled = self._streams.pop()
-            recycled.stpn = npn
-            recycled.direction = 1
-            recycled.hits = 0
-            self._streams.insert(0, recycled)
-        else:
-            self._streams.insert(0, StreamEntry(stpn=npn))
+            self._drop_key(dirs[0] * tails[0])
+            del tails[0], dirs[0], hits[0]
+        tails.append(npn)
+        dirs.append(1)
+        hits.append(0)
+        count[npn] = count.get(npn, 0) + 1
         return []
 
     def reset(self) -> None:
         """Forget all streams (used between profiling phases)."""
-        self._streams.clear()
+        self._tails.clear()
+        self._dirs.clear()
+        self._hits.clear()
+        self._key_count.clear()

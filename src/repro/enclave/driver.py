@@ -48,6 +48,8 @@ from repro.obs.trace import TraceSink
 
 __all__ = ["SgxDriver"]
 
+_DEMAND, _PRELOAD, _SIP = LoadKind.DEMAND, LoadKind.PRELOAD, LoadKind.SIP  # see loader.py
+
 
 class SgxDriver:
     """Untrusted-OS side of the simulated SGX stack, for one enclave."""
@@ -77,6 +79,8 @@ class SgxDriver:
         # spans this enclave's ELRANGE, so after the bounds check the
         # hot paths index it unconditionally).
         self._status_table = self.epc.status_table
+        # ``access`` records each page whose A bit it sets here, for the scan.
+        self._touched = self._platform.touched
         self.evictor = self._platform.evictor
         self.channel = self._platform.channel
         self.bitmap = SharedBitmap(
@@ -231,14 +235,14 @@ class SgxDriver:
         epc = self.epc
         if self._status_table[page]:
             # Already resident (the table spans this enclave's ELRANGE).
-            if kind is LoadKind.PRELOAD:
+            if kind is _PRELOAD:
                 self.stats.preloads_redundant += 1
                 if self.sanitizer is not None:
                     self.sanitizer.check_redundant_preload(page, finish)
                 if self._profiling:
                     self._profiler.ledger_redundant(page, finish)
             return evicted
-        preloaded = kind is LoadKind.PRELOAD
+        preloaded = kind is _PRELOAD
         frames = self._platform.frames
         if frames is not None:
             # Per-tenant frame policy (fleet scenarios): the manager
@@ -364,14 +368,14 @@ class SgxDriver:
         status = self._status_table
         channel = self.channel
         current = channel.current_page
-        queued = channel.is_queued
+        queued = channel.queued_tags
         return [
             page
             for page in burst
             if base <= page < limit
             and not status[page]
             and page != current
-            and not queued(page)
+            and page not in queued
         ]
 
     # ------------------------------------------------------------------
@@ -442,14 +446,13 @@ class SgxDriver:
                 if self._profiling:
                     self._profiler.ledger_fault(page, t, "absorbed")
             else:
-                burst_tag = None if idle else channel.queued_tag(page)
+                burst_tag = None if idle else channel.queued_tags.get(page)
                 if burst_tag is not None:
                     # Fault inside a queued burst: the preloader fell
                     # behind — abort that burst's remainder (in-stream
                     # abort, Section 4.1).
                     if self.sanitizer is not None or self._profiling:
-                        tag_of = channel.queued_tag
-                        doomed = [p for p in channel.queued_pages if tag_of(p) == burst_tag]
+                        doomed = [p for p, tag in channel.queued_tags.items() if tag == burst_tag]
                         if self.sanitizer is not None:
                             self.sanitizer.check_abort(doomed, t)
                         if self._profiling:
@@ -463,7 +466,7 @@ class SgxDriver:
                         self._dfp.note_aborted(dropped)
                     if observing:
                         self._emit(EventKind.ABORT, t, t, page)
-                finish = channel.load_sync(page, LoadKind.DEMAND, t)
+                finish = channel.load_sync(page, _DEMAND, t)
                 stats.time.fault_wait += finish - t
                 self._m_fault_wait_hist.observe(finish - t)
                 if observing:
@@ -506,11 +509,12 @@ class SgxDriver:
                 raise EpcError(f"page {page} is not resident after its fault")
             self._clock_hw = end
         # The hardware sets the A bit; a preloaded page's first touch
-        # is a preload hit.
+        # is a preload hit.  The page is recorded for the next scan.
         if not code & PAGE_ACCESSED:
             if code & PAGE_PRELOADED:
                 stats.preload_hits += 1
             status[page] = code | PAGE_ACCESSED
+            self._touched.append(page)
         return end
 
     def sip_prefetch(self, page: int, now: int) -> int:
@@ -557,7 +561,7 @@ class SgxDriver:
             self._clock_hw = finish
             return finish
         stats.sip_loads += 1
-        finish = channel.load_sync(page, LoadKind.SIP, t)
+        finish = channel.load_sync(page, _SIP, t)
         finish += cost.notification_cycles
         stats.time.sip_wait += finish - t
         self._m_sip_wait_hist.observe(finish - t)

@@ -32,9 +32,13 @@ PAGE_PRELOADED  4      bit 2: preloaded and not yet credited
 so a clean resident page is ``1``, an accessed one ``3``, a pending
 preload ``5`` and an accessed pending preload ``7``.  The bit layout
 makes a page touch *idempotent* — ``code | PAGE_ACCESSED`` is correct
-whether or not the page was touched before — and lets the service
-thread's scan count preload credits and age every accessed bit with
-C-level ``count``/``translate`` passes over the whole table.
+whether or not the page was touched before — and makes a preload
+credit the one byte value ``7``.
+
+Recording contract: on an EPC a platform scans, only ``SgxDriver.access``
+sets A bits, and it records each page for the scan.  :meth:`Epc.mark_accessed`
+and the :class:`EpcPageState` setters record nothing: they serve EPCs no
+platform scans, such as :mod:`repro.core.userpaging`'s.
 
 The status byte is the EPC's only residency store: beside it the
 :class:`Epc` keeps just the resident count.  :meth:`Epc.is_resident`
@@ -192,7 +196,7 @@ class Epc:
         ``__getitem__``) across residency changes.  Residency changes
         go through :meth:`insert`, :meth:`evict` and :meth:`swap`, which
         keep the counts; the driver, the evictor and the platform scan
-        edit only the accessed and preloaded bits in place.
+        edit only the accessed and preloaded bits, under the recording contract.
         """
         return self._status
 

@@ -29,8 +29,7 @@ from __future__ import annotations
 
 import enum
 import sys
-from collections import deque
-from typing import Callable, Deque, Dict, Optional, Sequence, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 from repro.errors import ChannelError
 
@@ -50,6 +49,11 @@ class LoadKind(enum.Enum):
     PRELOAD = "preload"
     #: Synchronous load issued by a SIP preload notification.
     SIP = "sip"
+
+
+# Read on every load: through the class, an enum member costs a
+# descriptor call on Python 3.11; a module global does not.
+_DEMAND, _PRELOAD = LoadKind.DEMAND, LoadKind.PRELOAD
 
 
 #: Signature of the driver callback invoked when a load lands:
@@ -93,9 +97,12 @@ class LoadChannel:
         # Time the channel becomes free of the *current* load.  When
         # idle this lags behind `now` until the next use.
         self._free_at = 0
-        self._current: Optional[Tuple[int, LoadKind, int]] = None
-        self._queue: Deque[Tuple[int, int]] = deque()  # (page, burst tag)
-        self._queued_tag: Dict[int, int] = {}
+        #: Page in flight, or None; only queued preloads fly (a synchronous
+        #: load lands within its own call).
+        self.current_page: Optional[int] = None
+        self._finish = 0  # the in-flight preload's finish time
+        #: The queue of not-yet-started preloads, in order: page → burst tag.
+        self.queued_tags: Dict[int, int] = {}
         self._next_tag = 0
         self.due = IDLE_DUE
         # Lifetime counters (stats/invariants).
@@ -115,58 +122,56 @@ class LoadChannel:
         return self._load_cycles
 
     @property
-    def current_page(self) -> Optional[int]:
-        """Page of the in-flight load, or None when idle."""
-        return self._current[0] if self._current else None
-
-    @property
     def queued_pages(self) -> Tuple[int, ...]:
         """Snapshot of the pending (not yet started) preload queue."""
-        return tuple(page for page, _tag in self._queue)
+        return tuple(self.queued_tags)
 
     def is_queued(self, page: int) -> bool:
         """True if ``page`` is waiting in the preload queue."""
-        return page in self._queued_tag
+        return page in self.queued_tags
 
     def queued_tag(self, page: int) -> Optional[int]:
         """Burst tag of a queued page, or None if not queued."""
-        return self._queued_tag.get(page)
+        return self.queued_tags.get(page)
 
     def is_idle(self, now: int) -> bool:
         """True when nothing is in flight or queued as of ``now``."""
         self.advance_to(now)
-        return self._current is None and not self._queue
+        return self.current_page is None and not self.queued_tags
 
     # ------------------------------------------------------------------
     # Background (preload) path
     # ------------------------------------------------------------------
 
-    def advance_to(self, now: int) -> None:
+    def advance_to(self, now: int) -> int:
         """Retire every background load that completed by ``now``.
 
         Completions are applied in order at their true finish times, so
         the EPC (and its eviction clock) sees the same sequence it
-        would have seen in continuous time.
+        would have seen in continuous time.  Returns the finish time of
+        the last load retired, or ``now`` when none was.
         """
+        last = now
         while True:
-            if self._current is not None:
-                page, kind, finish = self._current
+            page = self.current_page
+            if page is not None:
+                finish = self._finish
                 if finish > now:
                     self.due = finish
-                    return
-                self._current = None
-                if kind is LoadKind.PRELOAD:
-                    self.preloads_completed += 1
-                evicted = self.apply_load(page, kind, finish)
+                    return last
+                self.current_page = None
+                self.preloads_completed += 1
+                evicted = self.apply_load(page, _PRELOAD, finish)
                 self._free_at = finish + (self._evict_cycles if evicted else 0)
-            elif self._queue:
-                page, _tag = self._queue.popleft()
-                del self._queued_tag[page]
-                finish = self._free_at + self._load_cycles
-                self._current = (page, LoadKind.PRELOAD, finish)
+                last = finish
+            elif self.queued_tags:
+                page = next(iter(self.queued_tags))
+                del self.queued_tags[page]
+                self.current_page = page
+                self._finish = self._free_at + self._load_cycles
             else:
                 self.due = IDLE_DUE
-                return
+                return last
 
     def enqueue_preloads(self, pages: Sequence[int], now: int) -> int:
         """Queue one burst of speculative loads; return its tag.
@@ -176,23 +181,24 @@ class LoadChannel:
         de-duplicated ``pages`` against residency, the in-flight load
         and the existing queue (the driver's ``_filter_burst``).
         """
-        self.advance_to(now)
+        if now >= self.due:
+            self.advance_to(now)
         tag = self._next_tag
         self._next_tag += 1
         if not pages:
             return tag
+        queued_tags = self.queued_tags
         for page in pages:
-            if page in self._queued_tag:
+            if page in queued_tags:
                 raise ChannelError(f"page {page} is already queued")
-        if self._current is None and not self._queue:
+        if self.current_page is None and not queued_tags:
             # Channel idle: background work starts now, not at the
             # stale _free_at left over from the previous load.  The
             # first page waits for the next advance_to to promote it.
             self._free_at = max(self._free_at, now)
             self.due = 0
         for page in pages:
-            self._queue.append((page, tag))
-            self._queued_tag[page] = tag
+            queued_tags[page] = tag
         self.preloads_enqueued += len(pages)
         return tag
 
@@ -203,16 +209,9 @@ class LoadChannel:
         non-preemptible.  This is the in-stream abort of Section 4.1:
         a demand fault inside a burst invalidates its remainder.
         """
-        self.advance_to(now)
-        if not self._queue:
-            return 0
-        keep = [(page, t) for page, t in self._queue if t != tag]
-        aborted = len(self._queue) - len(keep)
-        if aborted:
-            self._queue = deque(keep)
-            self._queued_tag = {page: t for page, t in keep}
-            self.preloads_aborted += aborted
-        return aborted
+        if now >= self.due:
+            self.advance_to(now)
+        return self._keep_queued({p: t for p, t in self.queued_tags.items() if t != tag})
 
     def abort_pages_in_range(self, lo: int, hi: int, now: int) -> int:
         """Drop every queued preload whose page is in ``[lo, hi)``.
@@ -221,14 +220,17 @@ class LoadChannel:
         speculative work is cancelled without touching the queued
         bursts of other enclaves.
         """
-        self.advance_to(now)
-        if not self._queue:
-            return 0
-        keep = [(page, t) for page, t in self._queue if not lo <= page < hi]
-        aborted = len(self._queue) - len(keep)
+        if now >= self.due:
+            self.advance_to(now)
+        return self._keep_queued(
+            {p: t for p, t in self.queued_tags.items() if not lo <= p < hi}
+        )
+
+    def _keep_queued(self, keep: Dict[int, int]) -> int:
+        """Shrink the queue to ``keep``; return how many were aborted."""
+        aborted = len(self.queued_tags) - len(keep)
         if aborted:
-            self._queue = deque(keep)
-            self._queued_tag = {page: t for page, t in keep}
+            self.queued_tags = keep
             self.preloads_aborted += aborted
         return aborted
 
@@ -243,15 +245,16 @@ class LoadChannel:
         no second load is issued, the fault simply rides the in-flight
         preload to completion.  Returns ``now`` unchanged if idle.
         """
-        self.advance_to(now)
-        if self._current is None:
+        if now >= self.due:
+            self.advance_to(now)
+        page = self.current_page
+        if page is None:
             return now
-        page, kind, finish = self._current
-        self._current = None
-        self.due = 0 if self._queue else IDLE_DUE
-        if kind is LoadKind.PRELOAD:
-            self.preloads_completed += 1
-        evicted = self.apply_load(page, kind, finish)
+        finish = self._finish
+        self.current_page = None
+        self.due = 0 if self.queued_tags else IDLE_DUE
+        self.preloads_completed += 1
+        evicted = self.apply_load(page, _PRELOAD, finish)
         self._free_at = finish + (self._evict_cycles if evicted else 0)
         return finish
 
@@ -261,14 +264,11 @@ class LoadChannel:
         Queued preloads complete at their natural times; nothing is
         cancelled.  Returns ``now`` when already idle.
         """
-        self.advance_to(now)
-        t = now
-        while self._current is not None:
-            t = self.wait_for_current(t)
-            # Promote the next queued preload (if any) to in-flight so
-            # the loop drains it too.
-            self.advance_to(t)
-        return t
+        if now >= self.due:
+            self.advance_to(now)
+        if self.current_page is None:
+            return now
+        return self.advance_to(IDLE_DUE)
 
     def load_sync(self, page: int, kind: LoadKind, now: int) -> int:
         """Perform a synchronous load of ``page``; return its finish time.
@@ -280,18 +280,13 @@ class LoadChannel:
         so expensive and why the paper needs its abort mechanisms (the
         caller aborts the relevant burst *before* calling this).
         """
-        if kind is LoadKind.PRELOAD:
+        if kind is _PRELOAD:
             raise ChannelError("preloads must go through enqueue_preloads")
-        if self._current is None and not self._queue:
-            # Idle channel (the overwhelmingly common demand-fault
-            # case): skip the drain machinery, start as soon as the
-            # previous load's housekeeping is done.
-            start = self._free_at if self._free_at > now else now
-        else:
-            start = self.drain(now)
-            start = max(start, self._free_at, now)
+        if self.current_page is not None or self.queued_tags:
+            now = self.drain(now)  # an idle channel (most faults) skips this
+        start = self._free_at if self._free_at > now else now
         finish = start + self._load_cycles
-        if kind is LoadKind.DEMAND:
+        if kind is _DEMAND:
             self.demand_loads += 1
         else:
             self.sip_loads += 1

@@ -52,16 +52,8 @@ __all__ = [
 ]
 
 #: An accessed page with a pending preload credit: the byte the scan
-#: counts per owner range to credit correct preloads.
+#: credits to the page's owner as one correct preload.
 _PAGE_CREDITED = PAGE_RESIDENT | PAGE_ACCESSED | PAGE_PRELOADED
-
-#: Scan-aging byte translation: one C-level pass over the status table
-#: clears every accessed bit, and for accessed+preloaded pages the
-#: preloaded bit too (the credit was just taken); absent, clean and
-#: untouched-preloaded pages pass through unchanged.
-_SCAN_AGING = bytes(
-    PAGE_RESIDENT if code & PAGE_ACCESSED else code for code in range(8)
-) + bytes(range(8, 256))
 
 
 class SharedPlatform:
@@ -86,6 +78,9 @@ class SharedPlatform:
         self.next_scan = config.scan_period_cycles
         self._scan_period = config.scan_period_cycles
         self._last_now = 0
+        #: Pages whose A bit ``SgxDriver.access`` set since the last scan
+        #: (repeats allowed); drivers hold it, so it is never rebound.
+        self.touched: List[int] = []
         #: Optional per-tenant frame policy (:class:`FrameManager`).
         #: ``None`` — the default for every solo run and the legacy
         #: shared path — keeps the single shared CLOCK over the whole
@@ -183,28 +178,32 @@ class SharedPlatform:
         """One global scan: age access bits, credit preloads per owner,
         then let each enclave's valve react.
 
-        Runs at C speed over the status table: each owner's credit is
-        a byte count over its page range (an accessed+preloaded page is
-        exactly one ``RESIDENT|ACCESSED|PRELOADED`` byte), then a
-        single translation pass clears every accessed bit.  Ranges are
-        disjoint and non-resident bytes are ``PAGE_ABSENT``, so this
-        is equivalent to the per-resident-page walk it replaces.  When a
-        memchr finds no credited byte at all, no count runs.
+        Only :attr:`touched` pages can hold an A bit (``SgxDriver.access``
+        sets and records each, and the last scan aged all it recorded),
+        so aging them equals a pass over the whole table: an A bit gives
+        way to a clean resident byte, and a credited byte is also one
+        correct preload for the page's owner.  A repeated or since
+        evicted page holds no A bit when the loop reaches it.
         """
         status = self.epc.status_table
+        touched = self.touched
+        credited = []
+        for page in touched:
+            code = status[page]
+            if code & PAGE_ACCESSED:
+                status[page] = PAGE_RESIDENT
+                if code == _PAGE_CREDITED:
+                    credited.append(page)
+        touched.clear()
         owners = self._owners
-        if _PAGE_CREDITED not in status:
-            credits = (0,) * len(owners)
-        elif len(owners) == 1:
-            credits = (status.count(_PAGE_CREDITED),)
-        else:
-            credits = tuple(
-                status.count(_PAGE_CREDITED, lo, hi)
-                for lo, hi, _driver in owners
-            )
-        status[:] = status.translate(_SCAN_AGING)
-        for (_lo, _hi, driver), credited in zip(owners, credits):
-            driver._after_scan(now, credited)
+        if len(owners) == 1:
+            owners[0][2]._after_scan(now, len(credited))
+            return
+        credits = [0] * len(owners)
+        for page in credited:
+            credits[bisect_right(self._bases, page) - 1] += 1
+        for (_lo, _hi, driver), count in zip(owners, credits):
+            driver._after_scan(now, count)
 
 
 class _TenantFrames:
@@ -258,8 +257,8 @@ class FrameManager:
     def __init__(self, platform: SharedPlatform) -> None:
         self._platform = platform
         self._epc = platform.epc
-        self._tenants: Dict[int, _TenantFrames] = {}  # keyed by base page
-        self._order: List[int] = []  # admission-stable base order
+        self._tenants: Dict["SgxDriver", _TenantFrames] = {}
+        self._order: List[_TenantFrames] = []  # by base page
 
     # -- policy identity -------------------------------------------------
 
@@ -269,16 +268,15 @@ class FrameManager:
 
     def on_admit(self, driver: "SgxDriver") -> None:
         """Register an admitted tenant and recompute quotas."""
-        base = driver.enclave.base_page
-        state = self._tenants.get(base)
+        state = self._tenants.get(driver)
         if state is None:
             state = _TenantFrames(
                 driver,
                 ClockEvictor(self._epc, capacity=driver.enclave.elrange_pages),
             )
-            self._tenants[base] = state
-            self._order.append(base)
-            self._order.sort()
+            self._tenants[driver] = state
+            self._order.append(state)
+            self._order.sort(key=lambda record: record.driver.enclave.base_page)
         state.active = True
         self._rebalance_quotas()
 
@@ -289,7 +287,7 @@ class FrameManager:
         the EPC until reclaimed), but its quota drops to zero so the
         most-over-quota victim search drains it first.
         """
-        state = self._tenants[driver.enclave.base_page]
+        state = self._tenants[driver]
         state.active = False
         state.quota = 0
         self._rebalance_quotas()
@@ -306,7 +304,7 @@ class FrameManager:
         """
         if self._epc.is_full:
             return True
-        state = self._tenants[driver.enclave.base_page]
+        state = self._tenants[driver]
         return state.resident >= state.quota and state.resident > 0
 
     def select_victim(self, driver: "SgxDriver") -> int:
@@ -319,12 +317,11 @@ class FrameManager:
         point of partitioning: one tenant's thrashing cannot disturb a
         neighbour's resident set.
         """
-        state = self._tenants[driver.enclave.base_page]
+        state = self._tenants[driver]
         if self._epc.is_full:
             worst = None
             worst_over = None
-            for base in self._order:
-                candidate = self._tenants[base]
+            for candidate in self._order:
                 if candidate.resident <= 0:
                     continue
                 over = candidate.resident - candidate.quota
@@ -340,7 +337,7 @@ class FrameManager:
 
     def note_insert(self, driver: "SgxDriver", page: int) -> None:
         """A page of ``driver`` just landed in the EPC."""
-        state = self._tenants[driver.enclave.base_page]
+        state = self._tenants[driver]
         state.evictor.note_insert(page)
         state.resident += 1
 
@@ -349,35 +346,35 @@ class FrameManager:
         owner = self._platform.owner_of(page)
         if owner is None:
             raise SimulationError(f"evicted unowned page {page}")
-        state = self._tenants[owner.enclave.base_page]
+        state = self._tenants[owner]
         state.evictor.note_evict(page)
         state.resident -= 1
 
     @property
     def second_chances(self) -> int:
         """Total CLOCK second chances granted across all tenant rings."""
-        return sum(self._tenants[b].evictor.second_chances for b in self._order)
+        return sum(state.evictor.second_chances for state in self._order)
 
     # -- introspection ---------------------------------------------------
 
+    def tenant(self, driver: "SgxDriver") -> _TenantFrames:
+        """An admitted tenant's live record, for readers of ``resident`` and ``quota``."""
+        return self._tenants[driver]
+
     def quota_of(self, driver: "SgxDriver") -> int:
         """Current frame quota of one tenant (0 if never admitted)."""
-        state = self._tenants.get(driver.enclave.base_page)
+        state = self._tenants.get(driver)
         return state.quota if state is not None else 0
 
     def resident_of(self, driver: "SgxDriver") -> int:
         """Current resident frame count of one tenant."""
-        state = self._tenants.get(driver.enclave.base_page)
+        state = self._tenants.get(driver)
         return state.resident if state is not None else 0
 
     # -- quota computation ----------------------------------------------
 
     def _active_states(self) -> List[_TenantFrames]:
-        return [
-            self._tenants[base]
-            for base in self._order
-            if self._tenants[base].active
-        ]
+        return [state for state in self._order if state.active]
 
     def _rebalance_quotas(self) -> None:
         raise NotImplementedError

@@ -225,7 +225,7 @@ class _TenantSeries:
     __slots__ = (
         "index", "name", "scheme", "workload", "arrival",
         "queued_at", "admitted_at", "started_at", "departed_at", "truncated",
-        "port", "origin",
+        "port", "origin", "settled",
     )
 
     def __init__(
@@ -241,11 +241,15 @@ class _TenantSeries:
         self.started_at: Optional[int] = None
         self.departed_at: Optional[int] = None
         self.truncated = False
-        # Live references, set at admission: (stats, wait_hist, driver).
+        # Live references, set at admission: (stats, wait_hist, frame
+        # record or None under the shared CLOCK).
         self.port = None
         # The snapshot a first window after admission is differenced
         # against (the wait histogram may not start empty).
         self.origin: Tuple[int, ...] = ()
+        # The latest snapshot taken after departure, reused while it
+        # still holds.
+        self.settled: Optional[Tuple[int, ...]] = None
 
 
 class FleetTelemetry:
@@ -323,7 +327,10 @@ class FleetTelemetry:
         self._waiting.discard(index)
         self._active += 1
         hist = registry.get("fault.wait_hist")
-        tenant.port = (driver.stats, hist, driver)
+        frames = self._frames
+        tenant.port = (
+            driver.stats, hist, frames.tenant(driver) if frames is not None else None
+        )
         if self._bounds is None:
             self._bounds = tuple(hist.bounds)
         tenant.origin = (0, 0, 0, 0, 0, 0, 0, hist.overflow, *hist.counts)
@@ -391,8 +398,13 @@ class FleetTelemetry:
     # ------------------------------------------------------------------
 
     def _close_window(self, boundary: int) -> None:
-        """Snapshot every running total and gauge at ``boundary``."""
-        frames = self._frames
+        """Snapshot every running total and gauge at ``boundary``.
+
+        A departed tenant's snapshot taken after its departure is
+        reused while its resident count, quota, accesses, faults and
+        completed preloads hold: with no access there is no fault and
+        so no wait-histogram change either.
+        """
         evictions = 0
         snapshots: List[Optional[Tuple[int, ...]]] = []
         for tenant in self._tenants:
@@ -400,12 +412,21 @@ class FleetTelemetry:
             if port is None:
                 snapshots.append(None)
                 continue
-            stats, hist, driver = port
+            stats, hist, frame = port
             evictions += stats.evictions
-            snapshots.append(
-                (
-                    frames.resident_of(driver) if frames is not None else 0,
-                    frames.quota_of(driver) if frames is not None else 0,
+            resident, quota = (frame.resident, frame.quota) if frame is not None else (0, 0)
+            snapshot = tenant.settled
+            if (
+                snapshot is None
+                or snapshot[0] != resident
+                or snapshot[1] != quota
+                or snapshot[2] != stats.accesses
+                or snapshot[3] != stats.faults
+                or snapshot[4] != stats.preloads_completed
+            ):
+                snapshot = (
+                    resident,
+                    quota,
                     stats.accesses,
                     stats.faults,
                     stats.preloads_completed,
@@ -414,7 +435,9 @@ class FleetTelemetry:
                     hist.overflow,
                     *hist.counts,
                 )
-            )
+                if tenant.departed_at is not None:
+                    tenant.settled = snapshot
+            snapshots.append(snapshot)
         platform = self._platform
         channel = platform.channel
         fleet = (

@@ -41,6 +41,7 @@ run's (asserted in ``tests/obs/test_paging.py``).
 from __future__ import annotations
 
 import json
+from collections import defaultdict
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Union
@@ -183,7 +184,7 @@ class PagingProfiler:
         self.victims_preloaded_untouched = 0
         self.premature_refaulted = 0
         # Internal state.
-        self._pages: Dict[int, _PageLedger] = {}
+        self._pages: Dict[int, _PageLedger] = defaultdict(_PageLedger)
         self._pending: Dict[int, int] = {}
         self._windows: List[_Window] = []
         self._window: Optional[_Window] = None
@@ -207,8 +208,7 @@ class PagingProfiler:
 
     def ledger_hit(self, page: int, now: int) -> None:
         """Resident fast-path touch: first touch decides ``useful``."""
-        self._tick(page, now, fault=False)
-        ledger = self._ledger(page)
+        ledger = self._touch(page, now, fault=False)
         ledger.accesses += 1
         interval = ledger.open
         if interval is None:  # defensive: resident page always has one
@@ -229,8 +229,7 @@ class PagingProfiler:
         still-queued burst page — in-stream abort, then demand load),
         or ``"miss"`` (no preload anywhere near it — demand load).
         """
-        self._tick(page, now, fault=True)
-        ledger = self._ledger(page)
+        ledger = self._touch(page, now, fault=True)
         ledger.accesses += 1
         ledger.faults += 1
         self.faults += 1
@@ -268,7 +267,7 @@ class PagingProfiler:
 
     def ledger_insert(self, page: int, kind: str, now: int) -> None:
         """A load landed in the EPC: open a residency interval."""
-        ledger = self._ledger(page)
+        ledger = self._pages[page]
         if ledger.open is not None:  # defensive: insert implies absent
             self._close(ledger, ledger.open, now)
         ledger.open = _Interval(now, kind)
@@ -311,7 +310,7 @@ class PagingProfiler:
         decision; ``second_chances`` is how many A-bits the sweep
         cleared before settling on this victim.
         """
-        ledger = self._ledger(page)
+        ledger = self._pages[page]
         ledger.evictions += 1
         self.evictions += 1
         self.second_chances += second_chances
@@ -356,20 +355,14 @@ class PagingProfiler:
     # Internals
     # ------------------------------------------------------------------
 
-    def _ledger(self, page: int) -> _PageLedger:
-        ledger = self._pages.get(page)
-        if ledger is None:
-            ledger = _PageLedger()
-            self._pages[page] = ledger
-        return ledger
-
     @staticmethod
     def _close(ledger: _PageLedger, interval: _Interval, now: int) -> None:
         interval.end = now
         ledger.intervals.append(interval)
         ledger.open = None
 
-    def _tick(self, page: int, now: int, *, fault: bool) -> None:
+    def _touch(self, page: int, now: int, *, fault: bool) -> _PageLedger:
+        """Count one access in its phase window; return the page's ledger."""
         self.accesses += 1
         window = self._window
         if window is None or window.accesses >= self._window_accesses:
@@ -383,6 +376,7 @@ class PagingProfiler:
         offset = page - self._base_page
         if 0 <= offset < self._elrange_pages:
             window.heat[offset // self._bucket_pages] += 1
+        return self._pages[page]
 
     # ------------------------------------------------------------------
     # Export

@@ -104,6 +104,15 @@ _RANK_TRACE = 1
 _REBALANCE = -1
 
 
+def _require_ints(spec, names: Tuple[str, ...], optional: Tuple[str, ...] = ()) -> None:
+    """Reject a cycle or count field of ``spec`` that is not an ``int``;
+    ``None`` passes in the ``optional`` ones, and a bool is no count."""
+    for name in names + optional:
+        value = getattr(spec, name)
+        if type(value) is not int and not (name in optional and value is None):
+            raise ConfigError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class TenantSpec:
     """One tenant of a fleet scenario.
@@ -136,6 +145,7 @@ class TenantSpec:
                 f"unknown scheme {self.scheme!r} "
                 f"(choose from {', '.join(SCHEME_NAMES)})"
             )
+        _require_ints(self, ("arrival", "scale"))
         if self.arrival < 0:
             raise ConfigError(f"arrival must be >= 0, got {self.arrival}")
         if self.scale < 1:
@@ -180,6 +190,11 @@ class FleetScenario:
             )
         if not self.tenants:
             raise ConfigError(f"scenario {self.name!r} has no tenants")
+        _require_ints(
+            self,
+            ("seed", "spinup_pages", "min_quota_pages"),
+            ("epc_pages", "duration", "max_admitted", "rebalance_period_cycles"),
+        )
         if self.epc_pages is not None and self.epc_pages <= 0:
             raise ConfigError(f"epc_pages must be positive, got {self.epc_pages}")
         if self.input_set not in Workload.INPUT_SETS:

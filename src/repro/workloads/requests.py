@@ -69,6 +69,10 @@ class RequestProfile:
                 f"unknown request profile kind {self.kind!r} "
                 f"(choose from {', '.join(_KINDS)})"
             )
+        for name in ("mean_gap_cycles", "events_per_request", "max_requests"):
+            value = getattr(self, name)
+            if type(value) is not int and not (name == "max_requests" and value is None):
+                raise WorkloadError(f"{name} must be an integer, got {value!r}")
         if self.mean_gap_cycles <= 0:
             raise WorkloadError(
                 f"mean_gap_cycles must be positive, got {self.mean_gap_cycles}"

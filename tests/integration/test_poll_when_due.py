@@ -7,14 +7,18 @@ and ``channel.due``; a fault on an idle channel skips its in-flight and
 queued-burst probes.  A one-owner platform lands loads straight on its
 driver, and a full EPC lands a page in its CLOCK victim's frame and
 ring slot with one ``Epc.swap`` and one ``ClockEvictor.note_swap``.
+The scan ages and credits only the pages ``access`` recorded as
+touched since the previous scan.
 
 The forced run undoes all of that: a channel whose ``due`` always reads
 0 makes every entry point poll, advance and probe; every landing is
 routed through ``SharedPlatform._on_load``; each swap runs as the
 evict, note_evict, insert and note_insert it replaces (the EPC and the
 ring keep disjoint state, so how the two pairs interleave is moot); and
-every scan counts every owner's credited bytes, with no memchr first.
-Every manifest must be byte-identical either way.
+every scan counts every owner's credited bytes over the whole status
+table and ages the whole table with one translation, ignoring (and
+clearing) the touched list.  Every manifest must be byte-identical
+either way.
 """
 
 import dataclasses
@@ -25,10 +29,10 @@ import pytest
 from repro.core.config import SimConfig
 from repro.core.schemes import SCHEME_NAMES
 from repro.enclave.driver import SgxDriver
-from repro.enclave.epc import Epc
+from repro.enclave.epc import PAGE_ACCESSED, PAGE_RESIDENT, Epc
 from repro.enclave.eviction import ClockEvictor
 from repro.enclave.loader import LoadChannel
-from repro.enclave.platform import _PAGE_CREDITED, _SCAN_AGING, SharedPlatform
+from repro.enclave.platform import _PAGE_CREDITED, SharedPlatform
 from repro.obs.manifest import build_manifest
 from repro.sim.engine import prepare_sip_plan, simulate
 from repro.sim.fleet import EPC_POLICIES, build_scenario, simulate_fleet
@@ -37,6 +41,12 @@ from repro.workloads.registry import WORKLOAD_NAMES, build_workload
 
 #: Small enough that the whole registry × scheme grid runs in seconds.
 SCALE = 64
+
+#: Whole-table scan aging: every accessed byte becomes a clean resident
+#: one (the credit, if any, was just taken); other bytes pass unchanged.
+_SCAN_AGING = bytes(
+    PAGE_RESIDENT if code & PAGE_ACCESSED else code for code in range(8)
+) + bytes(range(8, 256))
 
 
 class AlwaysDueChannel(LoadChannel):
@@ -60,6 +70,7 @@ def _scan_counting_every_owner(self, now):
     status = self.epc.status_table
     credits = [status.count(_PAGE_CREDITED, lo, hi) for lo, hi, _driver in self._owners]
     status[:] = status.translate(_SCAN_AGING)
+    self.touched.clear()
     for (_lo, _hi, driver), credited in zip(self._owners, credits):
         driver._after_scan(now, credited)
 

@@ -177,9 +177,8 @@ def _observable(chan, tracker):
 
 
 def _check_due(chan, tracker, now):
-    current = chan._current
-    if current is not None:
-        assert chan.due == current[2]
+    if chan.current_page is not None:
+        assert chan.due == chan._finish
     elif chan.queued_pages:
         assert chan.due == 0
     else:
