@@ -16,7 +16,6 @@ valve) fixed:
 
 from repro.analysis.report import render_series
 from repro.core.alt_predictors import NextLinePredictor, StridePredictor
-from repro.core.dfp import DfpConfig
 from repro.core.schemes import Scheme
 from repro.sim.engine import simulate
 from repro.sim.results import normalized_time
@@ -30,20 +29,9 @@ def _scheme(config, factory):
     # Valve off: the ablation compares raw predictor quality; with the
     # valve on, every bad predictor just gets switched off and the
     # comparison collapses to ~baseline for all of them.
-    base = DfpConfig.from_sim_config(config)
-    dfp_config = DfpConfig(
-        stream_list_length=base.stream_list_length,
-        load_length=base.load_length,
-        valve_enabled=False,
-        valve_slack=base.valve_slack,
-        valve_ratio=base.valve_ratio,
-        track_backward=base.track_backward,
-    )
     return Scheme(
         name="dfp",
-        dfp_enabled=True,
-        sip_enabled=False,
-        dfp_config=dfp_config,
+        dfp_config=config.replace(valve_enabled=False),
         predictor_factory=factory,
     )
 

@@ -6,18 +6,17 @@
 * :mod:`repro.core.dfp` — dynamic fault-history based preloading.
 * :mod:`repro.core.classify` — Class 1/2/3 access classification.
 * :mod:`repro.core.profiler` — PGO-style profiling runs for SIP.
-* :mod:`repro.core.instrumentation` — the SIP "compiler pass".
-* :mod:`repro.core.sip` — the SIP runtime (bitmap check + page_loadin).
+* :mod:`repro.core.instrumentation` — the SIP "compiler pass"; its
+  runtime stub is :meth:`repro.enclave.driver.SgxDriver.sip_prefetch`.
 * :mod:`repro.core.schemes` — scheme factory (baseline/DFP/SIP/hybrid).
 """
 
 from repro.core.config import CostModel, SimConfig
 from repro.core.predictor import MultiStreamPredictor, StreamEntry
-from repro.core.dfp import DfpEngine, DfpConfig
+from repro.core.dfp import DfpEngine
 from repro.core.classify import AccessClass, StreamClassifier
 from repro.core.profiler import InstructionProfile, WorkloadProfile, profile_workload
 from repro.core.instrumentation import SipPlan, build_sip_plan
-from repro.core.sip import SipRuntime
 from repro.core.schemes import Scheme, make_scheme, SCHEME_NAMES
 
 __all__ = [
@@ -26,7 +25,6 @@ __all__ = [
     "MultiStreamPredictor",
     "StreamEntry",
     "DfpEngine",
-    "DfpConfig",
     "AccessClass",
     "StreamClassifier",
     "InstructionProfile",
@@ -34,7 +32,6 @@ __all__ = [
     "profile_workload",
     "SipPlan",
     "build_sip_plan",
-    "SipRuntime",
     "Scheme",
     "make_scheme",
     "SCHEME_NAMES",

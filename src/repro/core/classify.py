@@ -2,7 +2,8 @@
 
 The SIP pass decides where to instrument by replaying the profiled
 access trace through the same stream machinery DFP uses at runtime
-(Algorithm 1) and classifying each access by the page it touches:
+(Algorithm 1, :class:`~repro.core.predictor.MultiStreamPredictor`) and
+classifying each access by the page it touches:
 
 * **Class 1** — the page is "on ``stream_list``", i.e. it was touched
   recently enough that it is in the EPC with high probability.  These
@@ -19,14 +20,20 @@ window sized like the EPC itself: the classifier keeps an LRU set of
 the ``window`` most recently touched distinct pages.  Under CLOCK
 replacement the EPC contents approximate exactly that set, so the
 Class 1 test is the profiler's best static proxy for residency.
+
+Every access outside the window is a would-be fault and goes to the
+predictor: Class 2 when it returns a burst, Class 3 when it starts a
+new stream.  A Class 1 access is no fault and starts no stream; if it
+extends one, the stream's tail still moves to it.
 """
 
 from __future__ import annotations
 
 import enum
 from collections import OrderedDict
-from typing import Dict, List, Optional
+from typing import Dict
 
+from repro.core.predictor import MultiStreamPredictor
 from repro.errors import ConfigError
 
 __all__ = ["AccessClass", "StreamClassifier"]
@@ -47,7 +54,7 @@ class StreamClassifier:
     """Streaming classifier over a page-access trace.
 
     Feed accesses one at a time with :meth:`classify`; the classifier
-    maintains its recency window and stream list incrementally, so a
+    maintains its recency window and predictor incrementally, so a
     full profiling run is one linear pass.
     """
 
@@ -60,66 +67,33 @@ class StreamClassifier:
     ) -> None:
         if window <= 0:
             raise ConfigError(f"recency window must be positive, got {window}")
-        if stream_list_length <= 0:
-            raise ConfigError(
-                f"stream_list_length must be positive, got {stream_list_length}"
-            )
-        if load_length <= 0:
-            raise ConfigError(f"load_length must be positive, got {load_length}")
         self._window = window
-        self._stream_length = stream_list_length
-        self._match_window = load_length + 1
         # LRU over recently touched pages (the EPC-residency proxy).
         self._recent: "OrderedDict[int, None]" = OrderedDict()
-        # Stream tails, most recently used first.
-        self._tails: List[int] = []
+        self._predictor = MultiStreamPredictor(stream_list_length, load_length)
 
     @property
     def window(self) -> int:
         """Capacity of the recency window (pages)."""
         return self._window
 
-    def _touch_recent(self, page: int) -> bool:
-        """Record ``page`` in the window; True if it was already there."""
-        recent = self._recent
-        if page in recent:
-            recent.move_to_end(page)
-            return True
-        recent[page] = None
-        if len(recent) > self._window:
-            recent.popitem(last=False)
-        return False
-
-    def _match_stream(self, page: int) -> Optional[int]:
-        """Index of the stream ``page`` sequentially extends, or None."""
-        for index, tail in enumerate(self._tails):
-            if 0 < page - tail <= self._match_window:
-                return index
-        return None
-
     def classify(self, page: int) -> AccessClass:
         """Classify one access and update the classifier state."""
         if page < 0:
             raise ConfigError(f"page number must be non-negative, got {page}")
-        was_recent = page in self._recent
-        index = self._match_stream(page)
-        if was_recent:
-            result = AccessClass.CLASS1
-        elif index is not None:
-            result = AccessClass.CLASS2
-        else:
-            result = AccessClass.CLASS3
-        # State updates mirror Algorithm 1: extensions move to the
-        # head; irregular accesses seed a new stream in the LRU slot.
-        if index is not None:
-            self._tails.insert(0, self._tails.pop(index))
-            self._tails[0] = page
-        elif not was_recent:
-            if len(self._tails) >= self._stream_length:
-                self._tails.pop()
-            self._tails.insert(0, page)
-        self._touch_recent(page)
-        return result
+        recent = self._recent
+        predictor = self._predictor
+        if page in recent:
+            recent.move_to_end(page)
+            if predictor.extends(page):
+                predictor.on_fault(page)
+            return AccessClass.CLASS1
+        recent[page] = None
+        if len(recent) > self._window:
+            recent.popitem(last=False)
+        if predictor.on_fault(page):
+            return AccessClass.CLASS2
+        return AccessClass.CLASS3
 
     def classify_trace(self, pages: "list[int]") -> Dict[AccessClass, int]:
         """Classify a whole trace; return per-class counts."""

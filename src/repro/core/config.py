@@ -35,10 +35,10 @@ class CostModel:
     """Cycle costs of the architectural events the simulator models.
 
     Attributes mirror the paper's measured numbers; see the module
-    docstring for provenance.  ``ewb_cycles`` (eviction write-back) is
-    kept separate and defaults to 0 because the paper folds eviction
-    into its 60k–64k fault total; set it non-zero to study heavier
-    eviction paths.
+    docstring for provenance.  ``ewb_cycles`` (eviction write-back,
+    12,000 by default) is kept out of :attr:`fault_cycles`, because the
+    paper folds eviction into its 60k–64k fault total; the channel pays
+    it after a load that needed a victim, and 0 removes it.
     """
 
     #: Asynchronous enclave exit taken when an enclave access faults.
@@ -126,7 +126,11 @@ class SimConfig:
     #: and clears page-table access bits (the CLOCK aging pass that the
     #: preloaded-page accounting piggybacks on).
     scan_period_cycles: int = 2_000_000
-    #: Whether the DFP safety-valve abort is active (DFP-stop in Fig 8).
+    #: Whether the DFP safety-valve abort is active.  The scheme name
+    #: decides it: :func:`~repro.core.schemes.make_scheme` turns it off
+    #: for ``dfp`` and on for ``dfp-stop`` and ``hybrid`` (Fig 8), so
+    #: the value given here reaches only a hand-built
+    #: :class:`~repro.core.schemes.Scheme`.
     valve_enabled: bool = True
     #: Slack constant in the valve formula
     #: ``AccPreloadCounter + valve_slack < valve_ratio * PreloadCounter``.

@@ -21,69 +21,33 @@ why DFP adds nothing to the TCB.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List
 
 from repro.core.config import SimConfig
 from repro.core.predictor import MultiStreamPredictor
-from repro.errors import ConfigError
 
-__all__ = ["DfpConfig", "DfpEngine"]
-
-
-@dataclass(frozen=True)
-class DfpConfig:
-    """Tunable parameters of the DFP engine (subset of SimConfig)."""
-
-    stream_list_length: int = 30
-    load_length: int = 4
-    valve_enabled: bool = True
-    valve_slack: int = 200_000
-    valve_ratio: float = 0.5
-    track_backward: bool = False
-
-    def __post_init__(self) -> None:
-        if self.stream_list_length <= 0:
-            raise ConfigError(
-                f"stream_list_length must be positive, got {self.stream_list_length}"
-            )
-        if self.load_length <= 0:
-            raise ConfigError(f"load_length must be positive, got {self.load_length}")
-        if self.valve_slack < 0:
-            raise ConfigError(f"valve_slack must be non-negative, got {self.valve_slack}")
-        if not 0.0 < self.valve_ratio <= 1.0:
-            raise ConfigError(
-                f"valve_ratio must be within (0, 1], got {self.valve_ratio}"
-            )
-
-    @classmethod
-    def from_sim_config(cls, config: SimConfig) -> "DfpConfig":
-        """Extract the DFP parameters from a full simulation config."""
-        return cls(
-            stream_list_length=config.stream_list_length,
-            load_length=config.load_length,
-            valve_enabled=config.valve_enabled,
-            valve_slack=config.valve_slack,
-            valve_ratio=config.valve_ratio,
-            track_backward=config.track_backward_streams,
-        )
+__all__ = ["DfpEngine"]
 
 
 class DfpEngine:
     """OS-side preloading engine: predictor + counters + valve.
 
-    ``predictor`` defaults to the paper's multiple-stream predictor;
-    any object with the same ``on_fault(npn) -> list[int]`` protocol
-    (e.g. :mod:`repro.core.alt_predictors`) can be substituted for
-    ablation studies.
+    The engine reads six fields of ``config``: the predictor's
+    ``stream_list_length``, ``load_length`` and
+    ``track_backward_streams``, and the valve's ``valve_enabled``,
+    ``valve_slack`` and ``valve_ratio``.  ``predictor`` defaults to the
+    paper's multiple-stream predictor; any object with the same
+    ``on_fault(npn) -> list[int]`` protocol (e.g.
+    :mod:`repro.core.alt_predictors`) can be substituted for ablation
+    studies.
     """
 
-    def __init__(self, config: DfpConfig, *, predictor=None, metrics=None) -> None:
+    def __init__(self, config: SimConfig, *, predictor=None, metrics=None) -> None:
         self._config = config
         self.predictor = predictor or MultiStreamPredictor(
             config.stream_list_length,
             config.load_length,
-            track_backward=config.track_backward,
+            track_backward=config.track_backward_streams,
         )
         #: Total pages preloaded (the paper's ``PreloadCounter``).
         self.preload_counter = 0
@@ -133,7 +97,7 @@ class DfpEngine:
     # ------------------------------------------------------------------
 
     @property
-    def config(self) -> DfpConfig:
+    def config(self) -> SimConfig:
         """The engine's immutable configuration."""
         return self._config
 

@@ -124,6 +124,19 @@ class MultiStreamPredictor:
             "streams_active": len(self._tails),
         }
 
+    def extends(self, npn: int) -> bool:
+        """True when :meth:`on_fault` of ``npn`` would extend a stream.
+
+        A query: it changes no state, so the SIP classifier can ask it
+        of an access it does not count as a fault.
+        """
+        tails = self._tails
+        if tails and 0 < (npn - tails[-1]) * self._dirs[-1] <= self._window:
+            return True
+        if self._match(npn) is not None:
+            return True
+        return self._track_backward and self._flip_candidate(npn) is not None
+
     def _match(self, npn: int) -> Optional[int]:
         """Return the slot of the stream ``npn`` extends, or None.
 

@@ -20,9 +20,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Tuple
 
 from repro.core.config import SimConfig
-from repro.core.dfp import DfpConfig, DfpEngine
+from repro.core.dfp import DfpEngine
 from repro.core.instrumentation import SipPlan
-from repro.core.sip import SipRuntime
 from repro.errors import ConfigError
 
 __all__ = ["Scheme", "make_scheme", "SCHEME_NAMES"]
@@ -34,15 +33,15 @@ SCHEME_NAMES: Tuple[str, ...] = ("baseline", "dfp", "dfp-stop", "sip", "hybrid")
 class Scheme:
     """One execution configuration.
 
-    Immutable description; the per-run mutable objects (the DFP engine
-    and SIP runtime) are built fresh by :meth:`build_dfp` /
-    :meth:`build_sip` for every simulation so runs never share state.
+    Immutable description: DFP runs when ``dfp_config`` is set and SIP
+    when ``sip_plan`` is.  The per-run DFP engine is built fresh by
+    :meth:`build_dfp` for every simulation so runs never share state;
+    SIP needs no per-run object, as the run reads the plan's
+    ``instrumented`` set.
     """
 
     name: str
-    dfp_enabled: bool
-    sip_enabled: bool
-    dfp_config: Optional[DfpConfig] = None
+    dfp_config: Optional[SimConfig] = None
     sip_plan: Optional[SipPlan] = None
     #: Optional factory for a non-default predictor (the ablation
     #: studies swap in :mod:`repro.core.alt_predictors` here); must
@@ -51,11 +50,15 @@ class Scheme:
         default=None, compare=False
     )
 
-    def __post_init__(self) -> None:
-        if self.dfp_enabled and self.dfp_config is None:
-            raise ConfigError(f"scheme {self.name!r} enables DFP without a config")
-        if self.sip_enabled and self.sip_plan is None:
-            raise ConfigError(f"scheme {self.name!r} enables SIP without a plan")
+    @property
+    def dfp_enabled(self) -> bool:
+        """True when the scheme runs DFP."""
+        return self.dfp_config is not None
+
+    @property
+    def sip_enabled(self) -> bool:
+        """True when the scheme runs SIP."""
+        return self.sip_plan is not None
 
     def build_dfp(self, *, metrics=None) -> Optional[DfpEngine]:
         """Fresh DFP engine for one run (None when DFP is off).
@@ -63,18 +66,10 @@ class Scheme:
         ``metrics`` is an optional :class:`repro.obs.metrics.MetricsRegistry`
         the engine publishes its counters into.
         """
-        if not self.dfp_enabled:
+        if self.dfp_config is None:
             return None
-        assert self.dfp_config is not None
         predictor = self.predictor_factory() if self.predictor_factory else None
         return DfpEngine(self.dfp_config, predictor=predictor, metrics=metrics)
-
-    def build_sip(self) -> Optional[SipRuntime]:
-        """Fresh SIP runtime for one run (None when SIP is off)."""
-        if not self.sip_enabled:
-            return None
-        assert self.sip_plan is not None
-        return SipRuntime(self.sip_plan)
 
 
 def make_scheme(
@@ -87,7 +82,9 @@ def make_scheme(
 
     ``sip_plan`` is required for ``sip`` and ``hybrid`` — compile one
     with :func:`repro.core.profiler.profile_workload` followed by
-    :func:`repro.core.instrumentation.build_sip_plan`.
+    :func:`repro.core.instrumentation.build_sip_plan`.  The name
+    decides the valve, whatever ``config.valve_enabled`` says: off for
+    ``dfp``, on for ``dfp-stop`` and ``hybrid``.
     """
     if name not in SCHEME_NAMES:
         raise ConfigError(
@@ -96,31 +93,11 @@ def make_scheme(
     needs_sip = name in ("sip", "hybrid")
     if needs_sip and sip_plan is None:
         raise ConfigError(f"scheme {name!r} requires a SIP plan")
-    dfp_config: Optional[DfpConfig] = None
+    dfp_config: Optional[SimConfig] = None
     if name in ("dfp", "dfp-stop", "hybrid"):
-        base = DfpConfig.from_sim_config(config)
-        if name == "dfp":
-            dfp_config = DfpConfig(
-                stream_list_length=base.stream_list_length,
-                load_length=base.load_length,
-                valve_enabled=False,
-                valve_slack=base.valve_slack,
-                valve_ratio=base.valve_ratio,
-                track_backward=base.track_backward,
-            )
-        else:
-            dfp_config = DfpConfig(
-                stream_list_length=base.stream_list_length,
-                load_length=base.load_length,
-                valve_enabled=True,
-                valve_slack=base.valve_slack,
-                valve_ratio=base.valve_ratio,
-                track_backward=base.track_backward,
-            )
+        dfp_config = config.replace(valve_enabled=name != "dfp")
     return Scheme(
         name=name,
-        dfp_enabled=dfp_config is not None,
-        sip_enabled=needs_sip,
         dfp_config=dfp_config,
         sip_plan=sip_plan if needs_sip else None,
     )

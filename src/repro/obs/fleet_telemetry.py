@@ -225,7 +225,7 @@ class _TenantSeries:
     __slots__ = (
         "index", "name", "scheme", "workload", "arrival",
         "queued_at", "admitted_at", "started_at", "departed_at", "truncated",
-        "port", "origin", "settled",
+        "port", "origin", "latest",
     )
 
     def __init__(
@@ -247,9 +247,8 @@ class _TenantSeries:
         # The snapshot a first window after admission is differenced
         # against (the wait histogram may not start empty).
         self.origin: Tuple[int, ...] = ()
-        # The latest snapshot taken after departure, reused while it
-        # still holds.
-        self.settled: Optional[Tuple[int, ...]] = None
+        # The latest snapshot, reused while it still holds.
+        self.latest: Optional[Tuple[int, ...]] = None
 
 
 class FleetTelemetry:
@@ -385,7 +384,9 @@ class FleetTelemetry:
         # per-window sums equal the end-of-run aggregates exactly.
         # When ``end`` is not past the last closed boundary, the tail
         # would have zero width: its snapshot replaces that boundary's,
-        # which folds it into the window before it.
+        # which folds it into the window before it.  A run that ends at
+        # cycle 0 has no boundary to fold into and gets one 1-cycle
+        # window, as no window is empty.
         closes = self._closes
         tail = max(end, closes[-1].end if closes else 1)
         if closes and closes[-1].end == tail:
@@ -400,10 +401,10 @@ class FleetTelemetry:
     def _close_window(self, boundary: int) -> None:
         """Snapshot every running total and gauge at ``boundary``.
 
-        A departed tenant's snapshot taken after its departure is
-        reused while its resident count, quota, accesses, faults and
-        completed preloads hold: with no access there is no fault and
-        so no wait-histogram change either.
+        A tenant's previous snapshot is reused while its resident
+        count, quota, accesses, faults and completed preloads hold:
+        with no access there is no fault and so no wait-histogram
+        change either.
         """
         evictions = 0
         snapshots: List[Optional[Tuple[int, ...]]] = []
@@ -415,7 +416,7 @@ class FleetTelemetry:
             stats, hist, frame = port
             evictions += stats.evictions
             resident, quota = (frame.resident, frame.quota) if frame is not None else (0, 0)
-            snapshot = tenant.settled
+            snapshot = tenant.latest
             if (
                 snapshot is None
                 or snapshot[0] != resident
@@ -435,8 +436,7 @@ class FleetTelemetry:
                     hist.overflow,
                     *hist.counts,
                 )
-                if tenant.departed_at is not None:
-                    tenant.settled = snapshot
+                tenant.latest = snapshot
             snapshots.append(snapshot)
         platform = self._platform
         channel = platform.channel
@@ -649,9 +649,10 @@ def validate_fleet_timeseries(
     checks: the fleet series cross-foot to the per-tenant series in
     every window, and the ``totals`` section equals the series sums.
     When ``fleet_block`` (the ``repro.fleet-manifest/1`` block of the
-    same run) is given, the block must end at its ``end_cycles`` and
-    per-tenant and fleet totals must reconcile *exactly* with its QoS
-    aggregates.  Returns summary counts.
+    same run) is given, the block must end at its ``end_cycles`` (at
+    cycle 1 when that is 0: the one window of a run that ends at cycle
+    0 is 1 cycle wide) and per-tenant and fleet totals must reconcile
+    *exactly* with its QoS aggregates.  Returns summary counts.
     """
     if not isinstance(block, Mapping):
         raise ObsError("fleet timeseries must be a mapping")
@@ -756,7 +757,8 @@ def _reconcile_with_fleet_block(
 ) -> None:
     """Exact identities against the ``repro.fleet-manifest/1`` block."""
     summary = fleet_block.get("summary") or {}
-    if block["end_cycles"] != summary.get("end_cycles"):
+    end = summary.get("end_cycles")
+    if block["end_cycles"] != (1 if end == 0 else end):
         raise ObsError(
             f"timeseries ends at cycle {block['end_cycles']}, fleet "
             f"summary end_cycles is {summary.get('end_cycles')}"

@@ -129,8 +129,8 @@ def simulate(
         scheme = make_scheme(scheme, config, sip_plan=sip_plan)
 
     dfp = scheme.build_dfp(metrics=metrics)
-    sip = scheme.build_sip()
-    points = scheme.sip_plan.instrumentation_points if scheme.sip_plan else 0
+    plan = scheme.sip_plan
+    points = plan.instrumentation_points if plan is not None else 0
     enclave = Enclave(
         name=workload.name,
         elrange_pages=workload.elrange_pages,
@@ -153,7 +153,7 @@ def simulate(
         profiler=profiler,
     )
     breakdown = driver.stats.time
-    instrumented = sip.instrumented if sip is not None else None
+    instrumented = plan.instrumented if plan is not None else None
 
     now = 0
     sip_prefetch = driver.sip_prefetch

@@ -321,7 +321,7 @@ class _Tenant:
 
     __slots__ = (
         "index", "spec", "name", "workload", "base_page", "sip_plan",
-        "driver", "scheme", "registry", "instrumented", "trace",
+        "driver", "registry", "instrumented", "trace",
         "now", "pending", "pending_idle", "done",
         "gaps", "next_arrival", "events_left", "requests_served", "lag_hist",
         "record",
@@ -337,7 +337,6 @@ class _Tenant:
         self.base_page = base_page
         self.sip_plan: Optional[SipPlan] = None
         self.driver: Optional[SgxDriver] = None
-        self.scheme = None
         self.registry: Optional[MetricsRegistry] = None
         self.instrumented = None
         self.trace: Optional[Iterator] = None
@@ -482,8 +481,8 @@ def simulate_fleet(
 
     def admit(tenant: _Tenant, t: int) -> None:
         nonlocal active
-        plan = tenant.sip_plan
-        scheme = make_scheme(tenant.spec.scheme, config, sip_plan=plan)
+        scheme = make_scheme(tenant.spec.scheme, config, sip_plan=tenant.sip_plan)
+        plan = scheme.sip_plan
         enclave = Enclave(
             name=tenant.name,
             elrange_pages=tenant.workload.elrange_pages,
@@ -502,10 +501,9 @@ def simulate_fleet(
             metrics=registry,
         )
         tenant.driver = driver
-        tenant.scheme = scheme
         tenant.registry = registry
-        sip = scheme.build_sip()
-        tenant.instrumented = sip.instrumented if sip is not None else None
+        if plan is not None:
+            tenant.instrumented = plan.instrumented
         if frames is not None:
             frames.on_admit(driver)
         active += 1

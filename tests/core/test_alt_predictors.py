@@ -152,9 +152,10 @@ class TestDfpIntegration:
         ],
     )
     def test_pluggable_into_engine(self, factory):
-        from repro.core.dfp import DfpConfig, DfpEngine
+        from repro.core.config import SimConfig
+        from repro.core.dfp import DfpEngine
 
-        engine = DfpEngine(DfpConfig(), predictor=factory())
+        engine = DfpEngine(SimConfig(), predictor=factory())
         for page in (10, 11, 12, 13):
             burst = engine.on_fault(page)
             assert isinstance(burst, list)

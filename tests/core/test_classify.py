@@ -79,6 +79,15 @@ class TestClass2:
         c.classify(10)
         assert c.classify(11) is AccessClass.CLASS1
 
+    def test_class1_access_still_extends_its_stream(self):
+        """A recent page that extends a stream moves the stream's tail
+        to it, so the next page past it is Class 2."""
+        c = make(stream_list_length=1)
+        c.classify(14)
+        c.classify(10)  # recycles the one stream to tail 10
+        assert c.classify(14) is AccessClass.CLASS1  # extends it to 14
+        assert c.classify(19) is AccessClass.CLASS2
+
 
 class TestClass3:
     def test_cold_random_page_is_class3(self):

@@ -31,7 +31,7 @@ class TestMakeScheme:
     def test_baseline_has_no_engines(self, config):
         scheme = make_scheme("baseline", config)
         assert scheme.build_dfp() is None
-        assert scheme.build_sip() is None
+        assert scheme.sip_plan is None
 
     def test_dfp_has_valve_disabled(self, config):
         scheme = make_scheme("dfp", config)
@@ -42,6 +42,13 @@ class TestMakeScheme:
         scheme = make_scheme("dfp-stop", config)
         assert scheme.dfp_config.valve_enabled
 
+    @pytest.mark.parametrize("valve", [True, False])
+    def test_scheme_name_decides_the_valve(self, plan, valve):
+        config = SimConfig(epc_pages=64, valve_enabled=valve)
+        for name in ("dfp", "dfp-stop", "hybrid"):
+            scheme = make_scheme(name, config, sip_plan=plan)
+            assert scheme.dfp_config == config.replace(valve_enabled=name != "dfp")
+
     def test_sip_requires_plan(self, config):
         with pytest.raises(ConfigError):
             make_scheme("sip", config)
@@ -50,7 +57,7 @@ class TestMakeScheme:
         scheme = make_scheme("hybrid", config, sip_plan=plan)
         assert scheme.dfp_enabled and scheme.sip_enabled
         assert scheme.build_dfp() is not None
-        assert scheme.build_sip() is not None
+        assert scheme.sip_plan is plan
 
     def test_sip_scheme_has_no_dfp(self, config, plan):
         scheme = make_scheme("sip", config, sip_plan=plan)
@@ -65,13 +72,13 @@ class TestMakeScheme:
 
 
 class TestSchemeInvariants:
-    def test_enabling_dfp_without_config_rejected(self):
-        with pytest.raises(ConfigError):
-            Scheme(name="x", dfp_enabled=True, sip_enabled=False)
-
-    def test_enabling_sip_without_plan_rejected(self):
-        with pytest.raises(ConfigError):
-            Scheme(name="x", dfp_enabled=False, sip_enabled=True)
+    def test_flags_follow_the_config_and_plan(self, config, plan):
+        assert not Scheme(name="x").dfp_enabled
+        assert not Scheme(name="x").sip_enabled
+        assert Scheme(name="x", dfp_config=config).dfp_enabled
+        assert Scheme(name="x", sip_plan=plan).sip_enabled
+        with pytest.raises(AttributeError):
+            Scheme(name="x").dfp_enabled = True
 
     def test_engines_are_fresh_per_build(self, config):
         scheme = make_scheme("dfp-stop", config)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.config import CostModel, SimConfig
-from repro.core.dfp import DfpConfig, DfpEngine
+from repro.core.dfp import DfpEngine
 from repro.enclave.driver import SgxDriver
 from repro.enclave.enclave import Enclave
 
@@ -19,7 +19,7 @@ def make(epc_pages=32, load_length=4, valve=False, ewb=0):
         cost=CostModel(ewb_cycles=ewb),
     )
     dfp = DfpEngine(
-        DfpConfig(
+        SimConfig(
             stream_list_length=8,
             load_length=load_length,
             valve_enabled=valve,

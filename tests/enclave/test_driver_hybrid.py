@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.config import SimConfig
-from repro.core.dfp import DfpConfig, DfpEngine
+from repro.core.dfp import DfpEngine
 from repro.enclave.driver import SgxDriver
 from repro.enclave.enclave import Enclave
 
@@ -13,7 +13,7 @@ LOAD = 44_000
 def make(epc_pages=64):
     config = SimConfig(epc_pages=epc_pages, scan_period_cycles=10**9)
     dfp = DfpEngine(
-        DfpConfig(stream_list_length=8, load_length=4, valve_enabled=False)
+        SimConfig(stream_list_length=8, load_length=4, valve_enabled=False)
     )
     driver = SgxDriver(config, Enclave("t", elrange_pages=4096), dfp=dfp)
     return driver, dfp, config

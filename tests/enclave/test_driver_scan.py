@@ -4,7 +4,7 @@
 import pytest
 
 from repro.core.config import SimConfig
-from repro.core.dfp import DfpConfig, DfpEngine
+from repro.core.dfp import DfpEngine
 from repro.enclave.driver import SgxDriver
 from repro.enclave.enclave import Enclave
 
@@ -15,7 +15,7 @@ LOAD = 44_000
 def make(valve=True, slack=2, ratio=0.5):
     config = SimConfig(epc_pages=32, scan_period_cycles=SCAN)
     dfp = DfpEngine(
-        DfpConfig(
+        SimConfig(
             stream_list_length=8,
             load_length=4,
             valve_enabled=valve,

@@ -1,7 +1,7 @@
 """Timeline event recording (the Figure 2 / Figure 4 data source)."""
 
 from repro.core.config import SimConfig
-from repro.core.dfp import DfpConfig, DfpEngine
+from repro.core.dfp import DfpEngine
 from repro.enclave import driver as driver_module
 from repro.enclave.driver import SgxDriver
 from repro.enclave.enclave import Enclave
@@ -13,7 +13,7 @@ def make(dfp=False):
     """A driver recording into a ring buffer; returns both."""
     config = SimConfig(epc_pages=16, scan_period_cycles=10**9)
     engine = (
-        DfpEngine(DfpConfig(stream_list_length=4, load_length=4, valve_enabled=False))
+        DfpEngine(SimConfig(stream_list_length=4, load_length=4, valve_enabled=False))
         if dfp
         else None
     )

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.config import SimConfig
-from repro.core.dfp import DfpConfig, DfpEngine
+from repro.core.dfp import DfpEngine
 from repro.enclave.driver import SgxDriver
 from repro.enclave.enclave import Enclave
 from repro.enclave.loader import LoadKind
@@ -19,7 +19,7 @@ def make_platform(epc_pages=8):
 def add_enclave(platform, config, name, base, pages, dfp=False):
     enclave = Enclave(name, elrange_pages=pages, base_page=base)
     engine = (
-        DfpEngine(DfpConfig(stream_list_length=4, load_length=4, valve_enabled=False))
+        DfpEngine(SimConfig(stream_list_length=4, load_length=4, valve_enabled=False))
         if dfp
         else None
     )
@@ -167,7 +167,7 @@ class TestSharedScan:
         platform = SharedPlatform(config)
         a = add_enclave(platform, config, "a", 0, 1000, dfp=True)
         b_engine = DfpEngine(
-            DfpConfig(
+            SimConfig(
                 stream_list_length=4,
                 load_length=4,
                 valve_enabled=True,

@@ -29,7 +29,16 @@ from repro.obs.fleet_telemetry import (
     validate_fleet_timeseries,
 )
 from repro.obs.manifest import manifest_digest
-from repro.sim.fleet import EPC_POLICIES, SCENARIO_NAMES, build_scenario, simulate_fleet
+from repro.sim.fleet import (
+    EPC_POLICIES,
+    SCENARIO_NAMES,
+    FleetScenario,
+    TenantSpec,
+    build_scenario,
+    simulate_fleet,
+)
+
+from tests.conftest import ScriptedWorkload
 
 GOLDEN_FLEET_TRACE = Path(__file__).parent / "golden_fleet_chrome_trace.json"
 
@@ -257,6 +266,20 @@ class TestReconciliation:
         )
         assert counts["windows"] >= 1
         assert counts["tenants"] == len(result.fleet_block()["tenants"])
+
+    def test_a_run_that_ends_at_cycle_0_reconciles(self):
+        """One empty-trace tenant arriving at 0: the fleet ends at cycle
+        0, and its one window is 1 cycle wide."""
+        empty = ScriptedWorkload([], name="empty", footprint_pages=4)
+        scenario = FleetScenario(name="empty", tenants=(TenantSpec(workload=empty),))
+        result = simulate_fleet(scenario, telemetry=FleetTelemetry())
+        fleet_block = result.fleet_block()
+        assert fleet_block["summary"]["end_cycles"] == 0
+        assert result.timeseries["window_end"] == [1]
+        validate_fleet_timeseries(result.timeseries, fleet_block=fleet_block)
+        fleet_block["summary"]["end_cycles"] = 2
+        with pytest.raises(ObsError, match="ends at cycle 1"):
+            validate_fleet_timeseries(result.timeseries, fleet_block=fleet_block)
 
     def test_rebalance_records_match_the_summary_count(self):
         result = observed_run(policy="adaptive-quota")

@@ -169,3 +169,35 @@ def test_multiset_predictor_matches_the_list_walk(
         fast.reset()
         oracle.reset()
         assert fast.streams == oracle.streams == ()
+
+
+@given(
+    _moves,
+    st.lists(st.integers(min_value=0, max_value=60), min_size=4, max_size=4),
+    st.integers(min_value=1, max_value=8),
+    st.integers(min_value=1, max_value=6),
+    st.booleans(),
+)
+@settings(max_examples=300)
+def test_extends_agrees_with_on_fault(moves, cursors, length, load_length, backward):
+    """``extends(npn)`` is True exactly when ``on_fault(npn)`` extends a
+    stream (counts a stream hit), and asking it changes no state."""
+    p = MultiStreamPredictor(length, load_length, track_backward=backward)
+    for cursor, step in moves:
+        page = cursors[cursor] = max(0, cursors[cursor] + step)
+        state = (p.streams, p.counters(), dict(p._key_count))
+        extends = p.extends(page)
+        assert (p.streams, p.counters(), dict(p._key_count)) == state
+        hits = p.stream_hits
+        p.on_fault(page)
+        assert extends == (p.stream_hits == hits + 1)
+
+
+def test_extends_sees_a_never_extended_stream_flip_to_descending():
+    forward = MultiStreamPredictor(4, 4)
+    forward.on_fault(10)
+    assert not forward.extends(9)
+    backward = MultiStreamPredictor(4, 4, track_backward=True)
+    backward.on_fault(10)
+    assert backward.extends(9)
+    assert backward.on_fault(9) == [8, 7, 6, 5]

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import SimConfig
-from repro.core.dfp import DfpConfig, DfpEngine
+from repro.core.dfp import DfpEngine
 from repro.enclave.driver import SgxDriver
 from repro.enclave.enclave import Enclave
 from repro.enclave.epc import PAGE_ACCESSED, PAGE_RESIDENT
@@ -51,7 +51,7 @@ def run_checked(owners, epc_pages, steps):
     for index in range(owners):
         enclave = Enclave(f"e{index}", elrange_pages=PAGES, base_page=index * PAGES)
         engine = DfpEngine(
-            DfpConfig(stream_list_length=4, load_length=2, valve_enabled=False)
+            SimConfig(stream_list_length=4, load_length=2, valve_enabled=False)
         )
         drivers.append(SgxDriver(config, enclave, dfp=engine, platform=platform))
     seen = []

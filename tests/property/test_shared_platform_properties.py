@@ -1,14 +1,32 @@
-"""Property-based tests: shared-platform invariants with two enclaves."""
+"""Property-based tests: shared-platform invariants over generated fleets.
+
+The generator builds whole :class:`FleetScenario`s: one to four
+tenants of every scheme, under every frame policy, with arrivals,
+durations, admission caps, open-loop request profiles, spin-up and an
+EPC from barely larger than the concurrently admitted tenants up to
+their combined footprint.  SIP and hybrid tenants get a precompiled
+plan and a non-empty trace (profiling an empty trace raises
+``WorkloadError`` by design).  Per-tenant preload counts are not
+checked: a non-DFP tenant on a shared platform reports the channel's
+preloads (``tests/sim/test_fleet.py::TestSharedPlatform``).
+"""
+
+import json
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import SimConfig
-from repro.sim.fleet import FleetScenario, TenantSpec, simulate_fleet
+from repro.core.instrumentation import SipPlan
+from repro.core.schemes import SCHEME_NAMES
+from repro.obs.fleet_telemetry import FleetTelemetry, validate_fleet_timeseries
+from repro.sim.fleet import EPC_POLICIES, FleetScenario, TenantSpec, simulate_fleet
+from repro.workloads.requests import RequestProfile
 
 from tests.conftest import ScriptedWorkload
 
 EPC = 24
+INSTRUCTIONS = {0: "i0", 1: "i1"}
 
 events = st.lists(
     st.tuples(
@@ -20,25 +38,102 @@ events = st.lists(
     max_size=60,
 )
 
-scheme_pairs = st.tuples(
-    st.sampled_from(["baseline", "dfp-stop"]),
-    st.sampled_from(["baseline", "dfp-stop"]),
+request_profiles = st.builds(
+    RequestProfile,
+    kind=st.sampled_from(["poisson", "uniform", "periodic"]),
+    mean_gap_cycles=st.integers(min_value=1, max_value=200_000),
+    events_per_request=st.integers(min_value=1, max_value=8),
+    max_requests=st.none() | st.integers(min_value=1, max_value=6),
 )
 
 
+@st.composite
+def tenants(draw, index):
+    scheme = draw(st.sampled_from(SCHEME_NAMES))
+    sip = scheme in ("sip", "hybrid")
+    pages = draw(st.integers(min_value=1, max_value=24))
+    trace = draw(
+        st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=1),
+                st.integers(min_value=0, max_value=pages - 1),
+                st.integers(min_value=1, max_value=60_000),
+            ),
+            min_size=1 if sip else 0,
+            max_size=40,
+        )
+    )
+    workload = ScriptedWorkload(
+        trace, name=f"w{index}", footprint_pages=pages, instructions=INSTRUCTIONS
+    )
+    plan = None
+    if sip:
+        instrumented = draw(st.frozensets(st.sampled_from(sorted(INSTRUCTIONS))))
+        plan = SipPlan(workload=workload.name, threshold=0.05, instrumented=instrumented)
+    return TenantSpec(
+        workload=workload,
+        scheme=scheme,
+        arrival=draw(st.integers(min_value=0, max_value=300_000)),
+        requests=draw(st.none() | request_profiles),
+        sip_plan=plan,
+    )
+
+
+@st.composite
+def fleet_scenarios(draw):
+    count = draw(st.integers(min_value=1, max_value=4))
+    specs = tuple(draw(tenants(index)) for index in range(count))
+    policy = draw(st.sampled_from(EPC_POLICIES))
+    max_admitted = draw(st.none() | st.integers(min_value=1, max_value=count))
+    footprint = sum(spec.workload.footprint_pages for spec in specs)
+    # A partitioned policy needs a frame per admitted tenant.
+    epc = (max_admitted or count) + draw(
+        st.integers(min_value=0, max_value=3)
+        | st.integers(min_value=0, max_value=footprint)
+    )
+    rebalance = st.integers(min_value=20_000, max_value=600_000)
+    config = SimConfig(
+        stream_list_length=draw(st.integers(min_value=1, max_value=8)),
+        load_length=draw(st.integers(min_value=1, max_value=4)),
+        scan_period_cycles=draw(st.integers(min_value=50_000, max_value=400_000)),
+        valve_slack=draw(st.integers(min_value=0, max_value=16)),
+        sanitize=True,
+    )
+    return FleetScenario(
+        name="property-fleet",
+        tenants=specs,
+        policy=policy,
+        epc_pages=epc,
+        duration=draw(st.none() | st.integers(min_value=1, max_value=2_000_000)),
+        seed=draw(st.integers(min_value=0, max_value=3)),
+        config=config,
+        max_admitted=max_admitted,
+        spinup_pages=draw(st.integers(min_value=0, max_value=6)),
+        rebalance_period_cycles=(
+            draw(rebalance)
+            if policy == "adaptive-quota"
+            else draw(st.none() | rebalance)
+        ),
+        min_quota_pages=draw(st.integers(min_value=1, max_value=8)),
+    )
+
+
+def canonical(manifest):
+    return json.dumps(manifest, indent=2, sort_keys=True)
+
+
 def make_pair(events_a, events_b):
-    instructions = {0: "i0", 1: "i1"}
     a = ScriptedWorkload(
         [tuple(e) for e in events_a],
         name="a",
         footprint_pages=61,
-        instructions=instructions,
+        instructions=INSTRUCTIONS,
     )
     b = ScriptedWorkload(
         [tuple(e) for e in events_b],
         name="b",
         footprint_pages=61,
-        instructions=instructions,
+        instructions=INSTRUCTIONS,
     )
     return a, b
 
@@ -59,12 +154,12 @@ def run_shared(workloads, cfg, schemes):
     return simulate_fleet(scenario).results
 
 
-@given(events, events, scheme_pairs)
+@given(fleet_scenarios())
 @settings(max_examples=80, deadline=None)
-def test_per_enclave_accounting_exact(events_a, events_b, schemes):
-    a, b = make_pair(events_a, events_b)
-    results = run_shared([a, b], config(), list(schemes))
-    for result in results:
+def test_per_enclave_accounting_exact(scenario):
+    """Every tenant's time buckets sum to its clock, and every access
+    is a hit or a fault."""
+    for result in simulate_fleet(scenario).results:
         assert result.stats.time.total == result.total_cycles
         assert (
             result.stats.epc_hits + result.stats.faults
@@ -72,14 +167,29 @@ def test_per_enclave_accounting_exact(events_a, events_b, schemes):
         )
 
 
-@given(events, events, scheme_pairs)
+@given(fleet_scenarios())
+@settings(max_examples=40, deadline=None)
+def test_shared_runs_deterministic(scenario):
+    first = simulate_fleet(scenario).manifest()
+    second = simulate_fleet(scenario).manifest()
+    assert canonical(first) == canonical(second)
+
+
+@given(fleet_scenarios())
 @settings(max_examples=80, deadline=None)
-def test_shared_runs_deterministic(events_a, events_b, schemes):
-    a, b = make_pair(events_a, events_b)
-    first = run_shared([a, b], config(), list(schemes))
-    a2, b2 = make_pair(events_a, events_b)
-    second = run_shared([a2, b2], config(), list(schemes))
-    assert [r.total_cycles for r in first] == [r.total_cycles for r in second]
+def test_observed_fleet_is_sanitizer_clean_reconciled_and_passive(scenario):
+    """Under ``sanitize=True`` a blind and an observed run both finish
+    (the sanitizer raises on any violation); the observed run's time
+    series reconciles with its fleet block; and the observed manifest
+    minus the time series equals the blind manifest byte for byte."""
+    assert scenario.config.sanitize
+    blind = simulate_fleet(scenario).manifest()
+    observed = simulate_fleet(scenario, telemetry=FleetTelemetry()).manifest()
+    validate_fleet_timeseries(
+        observed["fleet_timeseries"], fleet_block=observed["extra"]["fleet"]
+    )
+    stripped = {k: v for k, v in observed.items() if k != "fleet_timeseries"}
+    assert canonical(stripped) == canonical(blind)
 
 
 @given(events, events)

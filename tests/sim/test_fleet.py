@@ -402,6 +402,24 @@ class TestOneTenantOracle:
             assert result.total_cycles == solo.total_cycles, scheme
             assert result.stats == solo.stats, scheme
 
+    def test_non_sip_tenant_ignores_a_given_plan(self):
+        """A plan handed to a non-SIP tenant is dropped, as ``simulate()``
+        drops it: no notification sites, no SIP checks."""
+        workload = build_workload("mcf", scale=128)
+        config = SimConfig.scaled(128)
+        plan = prepare_sip_plan(workload, config)
+        assert plan.instrumentation_points > 0
+        solo = simulate(workload, config, "baseline", sip_plan=plan)
+        fleet = simulate_fleet(
+            FleetScenario(
+                name="plan-on-baseline",
+                tenants=(TenantSpec(workload=workload, sip_plan=plan),),
+                config=config,
+            )
+        )
+        assert fleet.results[0].sip_points == solo.sip_points == 0
+        assert fleet.results[0].stats.sip_checks == 0
+
 
 class TestPolicies:
     def test_partitioning_isolates_the_victim_tenant(self):
@@ -502,6 +520,19 @@ class TestSharedPlatform:
         assert [r.stats.as_dict() for r in first] == [
             r.stats.as_dict() for r in second
         ]
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="SgxDriver.finish copies the channel's preload totals into a "
+        "non-DFP driver's stats; the fix changes the pinned churn-50 digest",
+    )
+    def test_non_dfp_tenant_reports_no_preloads(self):
+        fleet = simulate_fleet(build_scenario("smoke", seed=0))
+        for spec, result in zip(fleet.scenario.tenants, fleet.results):
+            if spec.scheme in ("baseline", "sip"):
+                assert result.stats.preloads_enqueued == 0, spec.scheme
+                assert result.stats.preloads_aborted == 0, spec.scheme
 
     def test_cross_enclave_pressure_keeps_invariants(self):
         results = self._run(["dfp", "dfp", "dfp"])
