@@ -45,8 +45,8 @@ re-declared per command:
   run as a manifest record and ``--resume`` skips the ones already
   there, so an interrupted sweep restarts where it died;
 * the **observation parent** (``run``/``compare``/``sweep``) —
-  ``--metrics/--trace/--trace-capacity/--manifest``.  Since PR 5 these
-  compose with any execution policy: resilient jobs ship their metric
+  ``--metrics/--trace/--trace-capacity/--manifest``.  These compose
+  with any execution policy: resilient jobs ship their metric
   and trace dumps back with the digest-checked result envelope, the
   parent merges them deterministically, and the execution layer itself
   is recorded (attempts, retries, timeouts, injected faults,
@@ -382,7 +382,7 @@ def _guard_obs_flags(args: argparse.Namespace, command: str) -> None:
     ship metrics/traces for the re-executed jobs only and silently
     present the partial merge as the whole fleet's.  Everything else
     (any ``--jobs/--retries/--timeout/--checkpoint`` combination)
-    composes with observation since PR 5.
+    composes with observation.
     """
     if args.resume and _wants_observation(args):
         raise ConfigError(

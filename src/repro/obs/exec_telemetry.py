@@ -47,7 +47,7 @@ from __future__ import annotations
 import enum
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import ObsError
 
@@ -76,7 +76,7 @@ class TelemetryConfig:
     observed run; workers honour it by running the simulation under a
     private registry/ring buffer and returning the dumps in the result
     envelope.  The default config observes nothing — workers then run
-    exactly as blind as before PR 5.
+    blind, and ship no payload.
     """
 
     #: Run each job under a private MetricsRegistry and ship its dump.
@@ -270,15 +270,7 @@ class ExecTelemetry:
     def attempt_finished(
         self, job: int, attempt: int, outcome: str, detail: str = ""
     ) -> None:
-        """An attempt returned (``outcome``: ``"ok"``/``"failed"``...).
-
-        No-op when the attempt span was already closed — the serial
-        path abandons an injected hang (closing the span with
-        ``"timeout"``) and then flows through the common failure
-        narration, which must not emit a second degenerate span.
-        """
-        if (job, attempt) not in self._open:
-            return
+        """An attempt returned (``outcome``: ``"ok"``/``"failed"``...)."""
         self._close_attempt(job, attempt, outcome, detail)
 
     def attempt_abandoned(self, job: int, attempt: int, detail: str = "") -> None:
@@ -311,9 +303,10 @@ class ExecTelemetry:
     def fault_injected(self, job: int, attempt: int, kind: object) -> None:
         """A scripted/rated fault fired at ``(job, attempt)``.
 
-        Idempotent per coordinate: the serial path re-dispatches an
-        attempt after an injected submission error, and the repeat
-        narration must not double-count the fault.
+        Idempotent per coordinate: after a pool break the in-process
+        re-run starts each unfinished job again at attempt 1, replaying
+        coordinates the pool already narrated, and the repeat must not
+        double-count the fault.
         """
         name = getattr(kind, "value", str(kind))
         key = (job, attempt, name)

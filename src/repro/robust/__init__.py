@@ -1,8 +1,9 @@
 """repro.robust — resilient experiment execution.
 
 The paper's headline results come from long multi-point, multi-scheme
-sweeps; PR 3 made them fast (process-pool fan-out), this layer makes
-them survivable.  Four capabilities, all configured through one
+sweeps; the process-pool fan-out in :mod:`repro.sim.parallel` makes
+them fast, this layer makes them survivable.  Four capabilities, all
+configured through one
 :class:`~repro.robust.policy.ExecutionPolicy` object:
 
 * **retry & timeout** (:mod:`repro.robust.retry`,

@@ -17,15 +17,15 @@ Fault classes (mirroring the failure modes the runner must survive):
   :class:`InjectedWorkerCrash` mid-job, modelling an arbitrary
   in-worker exception; retryable.
 * :attr:`FaultKind.HANG` — the worker stalls past the policy's
-  per-job timeout (in a pool worker it really sleeps; on the serial
-  path the runner converts it synchronously into a
-  :class:`~repro.errors.JobTimeoutError` — sleeping the only process
-  there is would turn a simulated hang into a real one).
+  per-job timeout (in a pool worker it really sleeps; in-process the
+  runner times the attempt out at once without running it —
+  sleeping the only process there is would turn a simulated hang
+  into a real one).
 * :attr:`FaultKind.CORRUPT` — the worker's :class:`RunResult` is
   tampered with *after* its integrity digest was computed, modelling
   corruption in transit; caught by the runner's replayed-manifest
   digest check.
-* :attr:`FaultKind.SUBMIT_ERROR` — a transient ``OSError`` at pool
+* :attr:`FaultKind.SUBMIT_ERROR` — a transient ``OSError`` at
   submission time (fork failure, fd exhaustion); injected parent-side
   and absorbed by the submission retry loop.
 * :attr:`FaultKind.POOL_BREAK` — the worker process dies hard
@@ -206,9 +206,9 @@ def perform_worker_fault(
     ``in_worker`` distinguishes a pool worker process (where a hang
     really sleeps and a pool-break really exits) from the serial
     in-process path (where both would take the experiment down with
-    them, so they are converted: hang is handled by the *runner* as a
-    synchronous timeout before this is ever called, and pool-break
-    downgrades to a crash).
+    them, so they are converted: with a timeout set the *runner* times
+    a hang out without calling this, and pool-break downgrades to a
+    crash).
 
     :attr:`FaultKind.CORRUPT` and :attr:`FaultKind.SUBMIT_ERROR` are
     not performed here — corruption is applied to the finished result

@@ -1,9 +1,8 @@
 """ExecutionPolicy: one object configuring how experiments execute.
 
-PR 3 gave the drivers ``jobs=``; this layer adds retry, timeout,
-checkpoint/resume and fault injection — and rather than growing every
-driver signature by five kwargs, all of it lives behind one frozen
-:class:`ExecutionPolicy` accepted as ``policy=`` by
+Rather than growing every driver signature by six kwargs, worker
+count, retry, timeout, checkpoint/resume and fault injection all live
+behind one frozen :class:`ExecutionPolicy` accepted as ``policy=`` by
 :func:`repro.sim.parallel.run_jobs`,
 :func:`repro.sim.sweep.compare_schemes` and
 :func:`repro.sim.sweep.sweep_config` (and built by the CLI's shared
@@ -11,10 +10,10 @@ driver signature by five kwargs, all of it lives behind one frozen
 is observation, not execution: it is :func:`~repro.sim.sweep.sweep_config`'s
 ``progress=`` hook.
 
-The default policy is the pre-policy behaviour exactly: serial, one
-attempt, no timeout, no checkpointing, no faults — so ``policy=None``
-callers see nothing change, and a resilient ``jobs=4`` run with no
-faults injected stays byte-identical to a serial run.
+The default policy runs serially in-process with one attempt, no
+timeout, no checkpointing and no faults, which is what ``policy=None``
+means; a resilient ``jobs=4`` run with no faults injected stays
+byte-identical to it.
 """
 
 from __future__ import annotations

@@ -26,8 +26,8 @@ __all__ = ["RetryPolicy"]
 class RetryPolicy:
     """How many chances a job gets, and how long to wait between them.
 
-    The default — one attempt — is exactly the pre-policy behaviour:
-    fail fast, change nothing.
+    The default — one attempt — fails fast: a job's first failure
+    ends the run.
     """
 
     #: Total execution attempts per job (1 = no retries).

@@ -1,4 +1,4 @@
-"""Parallel experiment execution: the resilient process-pool job runner.
+"""Parallel experiment execution: the resilient job runner.
 
 Every figure of the evaluation is an embarrassingly parallel set of
 independent simulations — same code, different ``(workload, config,
@@ -13,7 +13,7 @@ Properties the drivers rely on:
   worker rebuilds the workload from the registry, so a job's result is
   a function of the spec alone and ``jobs=N`` reproduces ``jobs=1``
   byte for byte (proved by ``tests/sim/test_parallel.py`` against the
-  PR-2 run manifests).  Retries re-run the same pure function, so
+  serial run's manifests).  Retries re-run the same pure function, so
   resilience never changes a result, only whether one arrives.
 * **Order** — results come back in submission order no matter which
   worker finished first.
@@ -30,14 +30,20 @@ Properties the drivers rely on:
   (:class:`~repro.errors.JobTimeoutError`) and retried, and a worker
   still wedged on an abandoned attempt when the sweep finishes is
   detached rather than waited for;
-  every pool result must pass a replayed-manifest digest check before
+  every result must pass a replayed-manifest digest check before
   it is accepted (:class:`~repro.errors.ResultIntegrityError`
   otherwise); completed runs are checkpointed and resumable; and if
   the pool itself dies (``BrokenProcessPool``) the runner degrades
-  gracefully to serial in-process execution of the unfinished jobs.
+  gracefully to in-process execution of the unfinished jobs.
   A deterministic :class:`~repro.robust.FaultPlan` can inject each of
   these failure modes on schedule, which is how the machinery is
   tested without real flakiness.
+* **One attempt loop** — ``jobs=1``, the pool and the degradation
+  after a pool break run the same loop; only its executor differs.
+  In-process runs use a one-slot executor whose ``submit`` runs the
+  attempt at once and returns a finished future, so an in-process
+  attempt is retried, timed out, checked and narrated exactly like a
+  pool one.
 
 Workers run blind by default, but an observed run is one kwarg away:
 ``run_jobs(..., telemetry=ExecTelemetry(TelemetryConfig(...)))`` ships
@@ -75,7 +81,6 @@ from typing import Callable, Deque, Dict, List, Optional, Sequence, Set, Tuple
 from repro.core.config import SimConfig
 from repro.core.instrumentation import SipPlan
 from repro.errors import (
-    ConfigError,
     JobRetriesExhaustedError,
     JobTimeoutError,
     ParallelExecutionError,
@@ -103,16 +108,6 @@ __all__ = ["WorkloadSpec", "JobSpec", "run_job", "run_jobs"]
 #: small allowance, independent of the per-job attempt budget (a
 #: submission that never happened should not burn the job's attempts).
 _SUBMIT_TRIES = 3
-
-class _InjectedDispatchError(Exception):
-    """Private sentinel for an injected serial-path dispatch failure.
-
-    The serial attempt loop absorbs *only* this type when
-    :attr:`~repro.robust.FaultKind.SUBMIT_ERROR` is injected.  A real
-    ``OSError`` escaping the simulation (or a broken-pipe from a
-    delivery callback) is a genuine failure and must never be mistaken
-    for the injected transient and retried without bound.
-    """
 
 
 @dataclass(frozen=True)
@@ -188,7 +183,7 @@ class JobSpec:
 def run_job(spec: JobSpec, *, metrics=None, tracer=None) -> RunResult:
     """Execute one job in the current process.
 
-    This is the pool's target function and the ``jobs=1`` fallback.
+    Every attempt, in a pool worker or in-process, runs through here.
     The workload's trace is served from this process's shared
     materialization cache, so a worker running several schemes of the
     same point walks the generator once.  ``metrics``/``tracer`` are
@@ -304,19 +299,6 @@ def _enveloped_run(
     return _Envelope(result=result, digest=digest, telemetry=telemetry)
 
 
-def _pool_entry(
-    spec: JobSpec,
-    plan: Optional[FaultPlan],
-    job_index: int,
-    attempt: int,
-    obs: Optional[TelemetryConfig] = None,
-) -> _Envelope:
-    """Top-level pool target (must be picklable by name)."""
-    return _enveloped_run(
-        spec, plan, job_index, attempt, in_worker=True, obs=obs
-    )
-
-
 def _warm_trace_cache(specs: Sequence[JobSpec]) -> None:
     """Materialize each distinct trace in the parent before forking.
 
@@ -347,6 +329,26 @@ def _warm_trace_cache(specs: Sequence[JobSpec]) -> None:
             # again in its worker, where the failure is wrapped and
             # attributed through the one sanctioned error path.
             continue
+
+
+class _InlineExecutor(futures.Executor):
+    """A one-slot executor that runs each attempt inside ``submit``.
+
+    The attempt's result or exception lands on an already finished
+    future, so the attempt loop handles an in-process attempt exactly
+    as it handles a pool one.  ``submit`` never raises the job's own
+    exception, which keeps a simulation ``OSError`` out of the
+    dispatch-error handling; the inherited ``shutdown`` has nothing to
+    release.
+    """
+
+    def submit(self, fn, /, *args, **kwargs) -> "futures.Future":
+        future: "futures.Future" = futures.Future()
+        try:
+            future.set_result(fn(*args, **kwargs))
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
 
 
 class _JobRunner:
@@ -389,8 +391,6 @@ class _JobRunner:
         self.plan = policy.fault_plan
         self.retry = policy.retry
         self.timeout = policy.timeout
-        #: True once the pool broke and execution degraded to serial.
-        self.degraded = False
         #: Timed-out futures whose attempt was already executing when
         #: abandoned — ``cancel()`` cannot stop them, and a genuinely
         #: wedged one must not be waited for at pool shutdown.
@@ -470,136 +470,38 @@ class _JobRunner:
             self.telemetry.resume_hit(index)
             self._accept(index, result)
 
-    def _exhausted(
-        self, index: int, attempt: int, cause: BaseException
-    ) -> JobRetriesExhaustedError:
-        spec = self.specs[index]
-        return JobRetriesExhaustedError(
-            f"job {spec.describe()} failed on all {attempt} attempt(s); "
-            f"last failure: {cause}",
-            job=spec.describe(),
-            attempts=attempt,
-        )
-
     def _pending_indices(self) -> List[int]:
         return [i for i in range(len(self.specs)) if i not in self.delivered]
 
-    # -- submission faults -------------------------------------------
-
-    def _injected_submit_error(self, index: int, attempt: int) -> bool:
-        return (
-            self.plan is not None
-            and self.plan.fault_for(index, attempt) is FaultKind.SUBMIT_ERROR
-        )
-
-    # -- serial execution --------------------------------------------
-
-    def _run_one_serial(self, index: int) -> None:
-        """Full attempt loop for one job, in-process."""
-        spec = self.specs[index]
-        self.telemetry.job_enqueued(index, 1)
-        attempt = 0
-        # Injected dispatch failures fire once per attempt coordinate;
-        # the immediate re-dispatch of the same attempt must clear.
-        absorbed_submits: Set[Tuple[int, int]] = set()
-        while True:
-            attempt += 1
-            try:
-                fault = (
-                    self.plan.fault_for(index, attempt)
-                    if self.plan is not None
-                    else None
-                )
-                if fault is not None:
-                    self.telemetry.fault_injected(index, attempt, fault)
-                if (
-                    fault is FaultKind.SUBMIT_ERROR
-                    and (index, attempt) not in absorbed_submits
-                ):
-                    # Transient dispatch failure: retried below without
-                    # burning the job's attempt budget (a submission
-                    # that never happened is not a failed attempt).
-                    absorbed_submits.add((index, attempt))
-                    raise _InjectedDispatchError(
-                        "injected transient submission failure"
-                    )
-                self.telemetry.attempt_started(index, attempt, 0)
-                if fault is FaultKind.HANG and self.timeout is not None:
-                    # Sleeping out a hang in the only process there is
-                    # would turn a simulated hang into a real one; the
-                    # serial path converts it synchronously.
-                    self.telemetry.attempt_abandoned(
-                        index, attempt, detail="injected hang"
-                    )
-                    raise JobTimeoutError(
-                        f"job {spec.describe()} exceeded its "
-                        f"{self.timeout}s timeout (injected hang)",
-                        job=spec.describe(),
-                        attempts=attempt,
-                    )
-                envelope = _enveloped_run(
-                    spec, self.plan, index, attempt, in_worker=False,
-                    obs=self.worker_obs,
-                )
-                result = self._verify(index, envelope)
-            except _InjectedDispatchError:
-                # Dispatch-level transient: does not consume an attempt.
-                # Only the injected sentinel is absorbed — a real
-                # OSError out of the simulation is a job failure with a
-                # bounded attempt budget like any other exception.
-                attempt -= 1
-                self.telemetry.backoff(index, attempt, self.retry.delay_for(1))
-                self.retry.backoff(1)
-                continue
-            except ParallelExecutionError as exc:
-                if isinstance(exc, JobRetriesExhaustedError):
-                    raise
-                last: BaseException = exc
-            except Exception as exc:
-                last = exc
-            else:
-                # Delivery sits outside the try: a failure in the
-                # on_result callback must propagate to the caller, not
-                # masquerade as a job failure and burn its attempts.
-                self.telemetry.attempt_finished(index, attempt, "ok")
-                self._accept(index, result, worker=envelope.telemetry)
-                return
-            self.telemetry.attempt_finished(
-                index, attempt, "failed", detail=str(last)
-            )
-            if attempt >= self.retry.max_attempts:
-                raise self._exhausted(index, attempt, last) from last
-            self.telemetry.backoff(
-                index, attempt, self.retry.delay_for(attempt)
-            )
-            self.retry.backoff(attempt)
-
-    def _run_serial(self, indices: Sequence[int]) -> None:
-        for index in indices:
-            self._run_one_serial(index)
-
-    # -- pool execution ----------------------------------------------
+    # -- the attempt loop --------------------------------------------
 
     def _submit(
-        self, pool: "futures.ProcessPoolExecutor", index: int, attempt: int
+        self,
+        executor: "futures.Executor",
+        index: int,
+        attempt: int,
+        fault: Optional[FaultKind],
     ) -> "futures.Future":
-        """Submit one attempt, absorbing transient submission errors."""
+        """Submit one attempt, absorbing transient submission errors.
+
+        An injected :attr:`~repro.robust.FaultKind.SUBMIT_ERROR` fails
+        the first try.  Neither executor raises a job's own exception
+        from ``submit``, so an ``OSError`` caught here is always a
+        dispatch failure, never a simulation's.
+        """
         for submit_try in range(1, _SUBMIT_TRIES + 1):
             try:
-                if submit_try == 1 and self._injected_submit_error(
-                    index, attempt
-                ):
+                if submit_try == 1 and fault is FaultKind.SUBMIT_ERROR:
                     raise OSError("injected transient submission failure")
-                return pool.submit(
-                    _pool_entry,
+                return executor.submit(
+                    _enveloped_run,
                     self.specs[index],
                     self.plan,
                     index,
                     attempt,
-                    self.worker_obs,
+                    in_worker=not isinstance(executor, _InlineExecutor),
+                    obs=self.worker_obs,
                 )
-            except futures.BrokenExecutor:
-                raise
             except OSError as exc:
                 if submit_try >= _SUBMIT_TRIES:
                     raise ParallelExecutionError(
@@ -612,16 +514,18 @@ class _JobRunner:
                 self.retry.backoff(submit_try)
         raise AssertionError("unreachable")
 
-    def _run_pool(self) -> None:
-        """Pool execution with per-job retries, timeouts and integrity.
+    def _run(self, executor: "futures.Executor") -> None:
+        """Run every pending job on ``executor``: retries, timeouts, integrity.
 
         Attempts wait in a parent-side ``queue`` and are submitted to
-        the executor only while a worker slot is free (workers wedged
-        on abandoned attempts count as occupied), so a submitted
-        attempt starts executing immediately and its wall-clock
-        deadline — armed at submission — is a budget on the attempt
-        itself.  A job queued behind busy workers accrues nothing
-        while it waits for a slot.
+        the executor only while a slot is free (workers wedged on
+        abandoned attempts count as occupied), so a submitted attempt
+        starts executing immediately and its wall-clock deadline —
+        armed at submission — is a budget on the attempt itself.  A
+        job queued behind busy workers accrues nothing while it waits
+        for a slot.  A retry goes to the head of the queue, so on the
+        one-slot in-process executor a job's retries run before the
+        next job starts.
 
         ``pending`` maps each in-flight future to its job index,
         attempt number and deadline.  Abandoned (timed-out) futures
@@ -638,67 +542,43 @@ class _JobRunner:
         remaining jobs can never be scheduled — finite hangs recover,
         permanent ones are documented as unrecoverable.)
         """
-        indices = self._pending_indices()
-        if not indices:
-            return
-        _warm_trace_cache([self.specs[i] for i in indices])
-        attempts: Dict[int, int] = {i: 1 for i in indices}
-        queue: Deque[Tuple[int, int]] = collections.deque(
-            (index, 1) for index in indices
-        )
-        for index in indices:
-            self.telemetry.job_enqueued(index, 1)
-        pool = futures.ProcessPoolExecutor(max_workers=self.policy.jobs)
+        pending: Dict["futures.Future", Tuple[int, int, Optional[float]]] = {}
         try:
-            try:
-                pending: Dict[
-                    "futures.Future", Tuple[int, int, Optional[float]]
-                ] = {}
-                try:
-                    self._fill(pool, pending, queue)
-                    while pending or queue:
-                        if not pending:
-                            # Every worker is wedged on an abandoned
-                            # attempt; the only way forward is one of
-                            # them finishing its stale work.
-                            self._await_wedged()
-                            self._fill(pool, pending, queue)
-                            continue
-                        done = self._wait(pending)
-                        for future in done:
-                            index, attempt, _ = pending.pop(future)
-                            self._handle_completed(
-                                queue, attempts, future, index, attempt
-                            )
-                        self._expire_deadlines(pending, queue, attempts)
-                        self._fill(pool, pending, queue)
-                except futures.BrokenExecutor:
-                    raise
-                except BaseException:
-                    for future in pending:
-                        future.cancel()
-                    raise
-            finally:
-                # Wait only if no abandoned attempt is still running in
-                # a worker; a wedged worker would block shutdown(True)
-                # forever and run_jobs with it.
-                wedged = any(
-                    not future.done() for future in self.abandoned
-                )
-                pool.shutdown(wait=not wedged, cancel_futures=True)
-        except futures.BrokenExecutor:
-            # The pool died under us (worker killed hard, fork bomb,
-            # OOM...).  The experiment is still perfectly computable —
-            # degrade to serial in-process execution of whatever has
-            # not finished yet.
-            self.degraded = True
-            self.telemetry.degraded()
-            self._run_serial(self._pending_indices())
+            indices = self._pending_indices()
+            queue: Deque[Tuple[int, int]] = collections.deque(
+                (index, 1) for index in indices
+            )
+            for index in indices:
+                self.telemetry.job_enqueued(index, 1)
+            self._fill(executor, pending, queue)
+            while pending or queue:
+                if not pending:
+                    # Every worker is wedged on an abandoned attempt;
+                    # the only way forward is one of them finishing
+                    # its stale work.
+                    self._await_wedged()
+                    self._fill(executor, pending, queue)
+                    continue
+                for future in self._wait(pending):
+                    index, attempt, _ = pending.pop(future)
+                    self._handle_completed(queue, future, index, attempt)
+                self._expire_deadlines(pending, queue)
+                self._fill(executor, pending, queue)
+        except BaseException:
+            for future in pending:
+                future.cancel()
+            raise
+        finally:
+            # Wait only if no abandoned attempt is still running in a
+            # worker; a wedged worker would block shutdown(True)
+            # forever and run_jobs with it.
+            wedged = any(not future.done() for future in self.abandoned)
+            executor.shutdown(wait=not wedged, cancel_futures=True)
 
-    def _capacity(self, pending: Dict) -> int:
-        """Free worker slots: pool width minus in-flight and wedged."""
+    def _capacity(self, width: int, pending: Dict) -> int:
+        """Free slots: executor width minus in-flight and wedged."""
         wedged = sum(1 for future in self.abandoned if not future.done())
-        return self.policy.jobs - len(pending) - wedged
+        return width - len(pending) - wedged
 
     def _free_lane(self, pending: Dict) -> int:
         """Lowest worker lane not occupied by an in-flight or wedged attempt.
@@ -723,12 +603,18 @@ class _JobRunner:
 
     def _fill(
         self,
-        pool: "futures.ProcessPoolExecutor",
+        executor: "futures.Executor",
         pending: Dict["futures.Future", Tuple[int, int, Optional[float]]],
         queue: Deque[Tuple[int, int]],
     ) -> None:
-        """Submit queued attempts while worker slots are free."""
-        while queue and self._capacity(pending) > 0:
+        """Start queued attempts while the executor has free slots.
+
+        The attempt span opens before ``submit``, because the
+        in-process executor runs the whole attempt inside it.
+        """
+        inline = isinstance(executor, _InlineExecutor)
+        width = 1 if inline else self.policy.jobs
+        while queue and self._capacity(width, pending) > 0:
             index, attempt = queue.popleft()
             fault = (
                 self.plan.fault_for(index, attempt)
@@ -737,10 +623,19 @@ class _JobRunner:
             )
             if fault is not None:
                 self.telemetry.fault_injected(index, attempt, fault)
-            future = self._submit(pool, index, attempt)
-            self._lane[future] = lane = self._free_lane(pending)
+            lane = self._free_lane(pending)
             self.telemetry.attempt_started(index, attempt, lane)
-            pending[future] = (index, attempt, self._deadline())
+            if inline and fault is FaultKind.HANG and self.timeout is not None:
+                # Sleeping out a hang in the only process there is
+                # would turn a simulated hang into a real one: a future
+                # that never runs, due now, times out on the pool's path.
+                future: "futures.Future" = futures.Future()
+                deadline: Optional[float] = time.monotonic()
+            else:
+                future = self._submit(executor, index, attempt, fault)
+                deadline = self._deadline()
+            self._lane[future] = lane
+            pending[future] = (index, attempt, deadline)
 
     def _deadline(self) -> Optional[float]:
         return (
@@ -778,7 +673,6 @@ class _JobRunner:
     def _handle_completed(
         self,
         queue: Deque[Tuple[int, int]],
-        attempts: Dict[int, int],
         future: "futures.Future",
         index: int,
         attempt: int,
@@ -793,14 +687,14 @@ class _JobRunner:
             last: BaseException = exc
         except Exception as exc:
             last = ParallelExecutionError(
-                f"job {spec.describe()} failed in a worker: {exc}",
+                f"job {spec.describe()} failed: {exc}",
                 job=spec.describe(),
                 attempts=attempt,
             )
             last.__cause__ = exc
         else:
             # Delivery sits outside the try: an on_result failure must
-            # propagate, not be wrapped as a worker failure and retried
+            # propagate, not be wrapped as a job failure and retried
             # (the job itself already succeeded).
             self.telemetry.attempt_finished(index, attempt, "ok")
             self._accept(index, result, worker=envelope.telemetry)
@@ -808,13 +702,12 @@ class _JobRunner:
         self.telemetry.attempt_finished(
             index, attempt, "failed", detail=str(last)
         )
-        self._retry_or_raise(queue, attempts, index, attempt, last)
+        self._retry_or_raise(queue, index, attempt, last)
 
     def _expire_deadlines(
         self,
         pending: Dict["futures.Future", Tuple[int, int, Optional[float]]],
         queue: Deque[Tuple[int, int]],
-        attempts: Dict[int, int],
     ) -> None:
         if self.timeout is None:
             return
@@ -841,24 +734,28 @@ class _JobRunner:
                 job=self.specs[index].describe(),
                 attempts=attempt,
             )
-            self._retry_or_raise(queue, attempts, index, attempt, timeout_error)
+            self._retry_or_raise(queue, index, attempt, timeout_error)
 
     def _retry_or_raise(
         self,
         queue: Deque[Tuple[int, int]],
-        attempts: Dict[int, int],
         index: int,
         attempt: int,
         cause: BaseException,
     ) -> None:
+        """Queue the next attempt at the head, or raise once out of budget."""
         if attempt >= self.retry.max_attempts:
-            raise self._exhausted(index, attempt, cause) from cause
+            spec = self.specs[index]
+            raise JobRetriesExhaustedError(
+                f"job {spec.describe()} failed on all {attempt} attempt(s); "
+                f"last failure: {cause}",
+                job=spec.describe(),
+                attempts=attempt,
+            ) from cause
         self.telemetry.backoff(index, attempt, self.retry.delay_for(attempt))
         self.retry.backoff(attempt)
-        next_attempt = attempt + 1
-        attempts[index] = next_attempt
-        queue.append((index, next_attempt))
-        self.telemetry.job_enqueued(index, next_attempt)
+        queue.appendleft((index, attempt + 1))
+        self.telemetry.job_enqueued(index, attempt + 1)
 
     # -- entry point -------------------------------------------------
 
@@ -866,10 +763,19 @@ class _JobRunner:
         self.telemetry.begin(self.policy, len(self.specs))
         self._restore_from_checkpoints()
         remaining = self._pending_indices()
-        if self.policy.jobs == 1 or len(remaining) <= 1:
-            self._run_serial(remaining)
-        else:
-            self._run_pool()
+        executor: "futures.Executor" = _InlineExecutor()
+        if self.policy.jobs > 1 and len(remaining) > 1:
+            _warm_trace_cache([self.specs[i] for i in remaining])
+            executor = futures.ProcessPoolExecutor(max_workers=self.policy.jobs)
+        try:
+            self._run(executor)
+        except futures.BrokenExecutor:
+            # The pool died under us (worker killed hard, fork bomb,
+            # OOM...).  The experiment is still perfectly computable —
+            # degrade to in-process execution of whatever has not
+            # finished yet.
+            self.telemetry.degraded()
+            self._run(_InlineExecutor())
         assert all(result is not None for result in self.slots)
         return self.slots  # type: ignore[return-value]
 

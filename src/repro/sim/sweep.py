@@ -128,9 +128,8 @@ class SweepProgress:
     def render(self) -> str:
         """One-line human-readable progress report.
 
-        A healthy fleet renders exactly as before PR 5; the health
-        segment appears only once something went wrong, so the common
-        case stays scannable.
+        A healthy fleet renders no health segment; it appears only
+        once something went wrong, so the common case stays scannable.
         """
         line = (
             f"[{self.completed}/{self.total}] {self.label} done "

@@ -3,9 +3,8 @@
 The collector, the worker payload merge and the fleet manifest are the
 load-bearing pieces of PR 5's observability-under-resilience story, so
 each invariant gets a direct test: deterministic merges, exactly-once
-worker delivery, span bookkeeping that survives the serial hang path,
-and a schema validator that rejects every malformed block it could
-meet.
+worker delivery, span bookkeeping, and a schema validator that
+rejects every malformed block it could meet.
 """
 
 import json
@@ -124,20 +123,6 @@ class TestSpanCollection:
         assert attempt.lane == 2
         assert attempt.outcome == "ok"
         assert attempt.duration_s >= 0.0
-
-    def test_finish_after_abandon_is_a_no_op(self):
-        # The serial hang path abandons the attempt, then flows through
-        # the common failure narration; that second call must not emit
-        # a degenerate duplicate span.
-        telemetry = ExecTelemetry()
-        telemetry.attempt_started(0, 1, lane=0)
-        telemetry.attempt_abandoned(0, 1, detail="exceeded 1.0s deadline")
-        before = len(telemetry.spans)
-        telemetry.attempt_finished(0, 1, "failed")
-        assert len(telemetry.spans) == before
-        assert telemetry.total_timeouts == 1
-        kinds = [span.kind for span in telemetry.spans]
-        assert kinds == [SpanKind.ATTEMPT, SpanKind.TIMEOUT_ABANDON]
 
     def test_backoff_span_covers_the_scheduled_delay(self):
         telemetry = ExecTelemetry()

@@ -8,6 +8,7 @@ matter how many attempts the job burned.
 """
 
 import json
+from collections import Counter
 
 import pytest
 
@@ -121,3 +122,49 @@ class TestExactlyOnceDelivery:
             assert entry["attempts"] == 2
             assert entry["retries"] == 1
             assert entry["faults"] == {"crash": 1}
+
+
+class TestOneAttemptLoop:
+    def test_serial_and_pool_narrate_one_fault_script_alike(self):
+        # jobs=1 and the pool run the same attempt loop, so one fault
+        # script gives the same tallies and the same spans, wall-clock
+        # stamps and lanes aside, on either executor.
+        plan = FaultPlan.script(
+            {
+                (0, 1): FaultKind.CRASH,
+                (1, 1): FaultKind.HANG,
+                (2, 1): FaultKind.CORRUPT,
+                (3, 1): FaultKind.SUBMIT_ERROR,
+            },
+            hang_s=5.0,
+        )
+        blocks, spans = [], []
+        for jobs in (1, 2):
+            telemetry = ExecTelemetry()
+            policy = ExecutionPolicy(
+                jobs=jobs,
+                retry=RetryPolicy(max_attempts=3),
+                timeout=1.0,
+                fault_plan=plan,
+            )
+            run_jobs(make_specs(5), policy=policy, telemetry=telemetry)
+            block = telemetry.as_dict()
+            del block["policy"]
+            blocks.append(block)
+            spans.append(
+                Counter(
+                    (span.kind, span.job, span.attempt, span.outcome)
+                    for span in telemetry.spans
+                )
+            )
+        assert blocks[0] == blocks[1]
+        assert spans[0] == spans[1]
+
+    def test_in_process_attempt_span_covers_the_run(self):
+        # The in-process executor runs the attempt inside submit, so the
+        # attempt span must open before it: the run is attempt time,
+        # not queue wait.
+        telemetry = ExecTelemetry()
+        run_jobs(make_specs(1), telemetry=telemetry)
+        timing = telemetry.attribution()
+        assert timing["run_s"] > timing["queue_wait_s"]

@@ -178,6 +178,28 @@ class TestSubmissionFaults:
         policy = ExecutionPolicy(jobs=jobs, fault_plan=plan)
         assert run_jobs(make_specs(), policy=policy) == serial_results
 
+    def test_a_jobs_own_oserror_is_a_bounded_job_failure(self, monkeypatch):
+        # Only a failed dispatch is retried outside the attempt budget;
+        # an OSError out of the simulation itself is a job failure.
+        calls = []
+
+        def failing_run_job(spec, **kwargs):
+            calls.append(spec)
+            raise OSError("simulated I/O failure inside the job")
+
+        monkeypatch.setattr("repro.sim.parallel.run_job", failing_run_job)
+        policy = ExecutionPolicy(retry=RetryPolicy(max_attempts=2))
+        with pytest.raises(JobRetriesExhaustedError) as excinfo:
+            run_jobs(make_specs(1), policy=policy)
+        assert excinfo.value.attempts == 2
+        assert len(calls) == 2
+        chain = []
+        cause = excinfo.value.__cause__
+        while cause is not None:
+            chain.append(cause)
+            cause = cause.__cause__
+        assert any(isinstance(error, OSError) for error in chain)
+
 
 class TestPoolBreak:
     def test_dead_pool_degrades_to_serial_and_completes(

@@ -18,7 +18,9 @@ The CI-facing end-to-end proof of the resilience layer
    real CLI) finishes the job; every checkpoint record must then be
    byte-identical to a manifest of the reference run.
 5. **Observed chaos** — the phase-2 sweep again with execution
-   telemetry collecting (worker-shipped metrics on): observation must
+   telemetry collecting (worker-shipped metrics on), once in-process
+   (``jobs=1``) and once on the pool (``jobs=2``), so the runner's one
+   attempt loop is driven on both of its executors: observation must
    be passive (manifests still byte-identical to the reference), the
    collector's fault/retry tallies must match the scripted
    ``CHAOS_PLAN``, and the fleet manifest plus per-worker Chrome exec
@@ -33,6 +35,7 @@ Usage: python tools/chaos_smoke.py [--artifact-dir DIR] [--scale N]
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -192,17 +195,9 @@ def main(argv=None):
         actual == expected,
     )
 
-    # Phase 5: the chaos leg again, observed — telemetry must be
-    # passive, tally the scripted faults, and export validating
-    # fleet-manifest and Chrome-trace artifacts.
-    telemetry = ExecTelemetry(TelemetryConfig(metrics=True))
-    observed = sweep_points(args.scale, policy=chaos_policy, telemetry=telemetry)
-    ok &= check(
-        report,
-        "observed chaos leg is byte-identical to the reference",
-        manifest_blobs(observed) == reference_blobs,
-        "telemetry collection is passive",
-    )
+    # Phase 5: the chaos leg again, observed, in-process and on the
+    # pool — telemetry must be passive, tally the scripted faults, and
+    # export validating fleet-manifest and Chrome-trace artifacts.
     kinds = [kind for _, kind in CHAOS_PLAN.scripted]
     # A submit-error is absorbed at dispatch without burning the job's
     # attempt budget, so it injects a fault but not a retry; every
@@ -211,44 +206,63 @@ def main(argv=None):
         1 for kind in kinds if kind is not FaultKind.SUBMIT_ERROR
     )
     expected_timeouts = sum(1 for kind in kinds if kind is FaultKind.HANG)
-    ok &= check(
-        report,
-        "telemetry tallies match the scripted fault plan",
-        telemetry.total_faults == len(kinds)
-        and telemetry.total_retries == expected_retries
-        and telemetry.total_timeouts == expected_timeouts
-        and telemetry.submit_errors == 1,
-        f"faults={telemetry.total_faults} retries={telemetry.total_retries} "
-        f"timeouts={telemetry.total_timeouts} "
-        f"submit_errors={telemetry.submit_errors}",
-    )
-
-    fleet_path = artifacts / "chaos_fleet.manifest.json"
-    write_manifest(
-        fleet_path,
-        build_fleet_manifest(
-            [point.results[SCHEME] for point in observed],
+    for jobs in (1, 2):
+        leg = f"observed chaos leg (jobs={jobs})"
+        telemetry = ExecTelemetry(TelemetryConfig(metrics=True))
+        observed = sweep_points(
+            args.scale,
+            policy=dataclasses.replace(chaos_policy, jobs=jobs),
             telemetry=telemetry,
-            labels=list(VALUES),
-        ),
-    )
-    try:
-        fleet = load_manifest(fleet_path)  # validates both schemas
-        fleet_ok = fleet["run"]["runs"] == len(VALUES)
-        fleet_detail = f"{fleet_path}"
-    except Exception as exc:  # pragma: no cover - failure path
-        fleet_ok, fleet_detail = False, str(exc)
-    ok &= check(report, "fleet manifest validates", fleet_ok, fleet_detail)
+        )
+        ok &= check(
+            report,
+            f"{leg} is byte-identical to the reference",
+            manifest_blobs(observed) == reference_blobs,
+            "telemetry collection is passive",
+        )
+        ok &= check(
+            report,
+            f"{leg}: telemetry tallies match the scripted fault plan",
+            telemetry.total_faults == len(kinds)
+            and telemetry.total_retries == expected_retries
+            and telemetry.total_timeouts == expected_timeouts
+            and telemetry.submit_errors == 1,
+            f"faults={telemetry.total_faults} "
+            f"retries={telemetry.total_retries} "
+            f"timeouts={telemetry.total_timeouts} "
+            f"submit_errors={telemetry.submit_errors}",
+        )
 
-    trace_path = artifacts / "chaos_exec.trace.json"
-    write_chrome_trace(trace_path, [], exec_spans=telemetry.spans)
-    try:
-        counts = validate_chrome_trace(json.loads(trace_path.read_text()))
-        trace_ok = counts["tracks"] >= 2  # exec-runner + worker lane(s)
-        trace_detail = f"{counts['tracks']} tracks, {trace_path}"
-    except Exception as exc:  # pragma: no cover - failure path
-        trace_ok, trace_detail = False, str(exc)
-    ok &= check(report, "chrome exec trace validates", trace_ok, trace_detail)
+        fleet_path = artifacts / f"chaos_fleet.jobs{jobs}.manifest.json"
+        write_manifest(
+            fleet_path,
+            build_fleet_manifest(
+                [point.results[SCHEME] for point in observed],
+                telemetry=telemetry,
+                labels=list(VALUES),
+            ),
+        )
+        try:
+            fleet = load_manifest(fleet_path)  # validates both schemas
+            fleet_ok = fleet["run"]["runs"] == len(VALUES)
+            fleet_detail = f"{fleet_path}"
+        except Exception as exc:  # pragma: no cover - failure path
+            fleet_ok, fleet_detail = False, str(exc)
+        ok &= check(
+            report, f"{leg}: fleet manifest validates", fleet_ok, fleet_detail
+        )
+
+        trace_path = artifacts / f"chaos_exec.jobs{jobs}.trace.json"
+        write_chrome_trace(trace_path, [], exec_spans=telemetry.spans)
+        try:
+            counts = validate_chrome_trace(json.loads(trace_path.read_text()))
+            trace_ok = counts["tracks"] >= 2  # exec-runner + worker lane(s)
+            trace_detail = f"{counts['tracks']} tracks, {trace_path}"
+        except Exception as exc:  # pragma: no cover - failure path
+            trace_ok, trace_detail = False, str(exc)
+        ok &= check(
+            report, f"{leg}: chrome exec trace validates", trace_ok, trace_detail
+        )
 
     report["ok"] = bool(ok)
     (artifacts / "chaos_report.json").write_text(
