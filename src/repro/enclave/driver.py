@@ -144,7 +144,6 @@ class SgxDriver:
         With the shared NULL registry all of these are no-op
         singletons, so the disabled path costs one dead method call.
         """
-        self._metrics = metrics
         stats = self.stats
         time = stats.time
         if metrics.enabled:

@@ -56,6 +56,12 @@ __all__ = [
 _PAGE_CREDITED = PAGE_RESIDENT | PAGE_ACCESSED | PAGE_PRELOADED
 
 
+def _unowned_landing(page: int, kind: LoadKind, finish: int) -> bool:
+    """Channel callback of a platform with no driver: before the first
+    registration and after :meth:`SharedPlatform.release`."""
+    raise SimulationError(f"load of page {page} completed on a platform with no driver")
+
+
 class SharedPlatform:
     """The physical SGX resources shared by one or more enclaves."""
 
@@ -64,7 +70,7 @@ class SharedPlatform:
         self.evictor = ClockEvictor(self.epc)
         self.channel = LoadChannel(
             config.cost.page_load_cycles,
-            self._on_load,
+            _unowned_landing,
             evict_cycles=config.cost.ewb_cycles,
         )
         # (base, limit, driver), sorted by base; ``_bases`` is the
@@ -131,6 +137,19 @@ class SharedPlatform:
     def drivers(self) -> Tuple["SgxDriver", ...]:
         """Registered drivers, in page-range order."""
         return tuple(driver for _lo, _hi, driver in self._owners)
+
+    def release(self) -> None:
+        """End the run: drop every reference back to the drivers.
+
+        Drivers hold the platform, and the platform holds them through
+        the owner table, the channel's landing callback and the frame
+        manager, so a finished run would otherwise stay in memory until
+        the cyclic collector found it.  A landing after this raises.
+        """
+        self._owners = []
+        self._bases = []
+        self.frames = None
+        self.channel.apply_load = _unowned_landing
 
     # ------------------------------------------------------------------
     # Hardware callbacks

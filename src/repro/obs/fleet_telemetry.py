@@ -46,11 +46,13 @@ including the channel drain performed by ``driver.finish`` — lands in
 one final window closing at ``end_cycles``, which is what makes the
 per-window sums reconcile exactly with the end-of-run aggregates.
 
-The sampler defers its work to export.  A window close only appends
-one cumulative snapshot per tenant and one fleet-wide snapshot;
-:meth:`FleetTelemetry.block` keeps the snapshots that bound its at
-most 128 exported windows and differences those alone, so nothing is
-computed per window that the block will not show.
+The sampler defers its work to export, and holds only what the export
+can show.  A window close takes one cumulative snapshot per tenant and
+one fleet-wide snapshot.  The export coarsens the run to at most 128
+windows by keeping every ``2**k``-th close and the last, so the sampler
+keeps only the closes some ``k`` can still select (:class:`_Thinned`):
+a run of any length holds at most 129 closes, and
+:meth:`FleetTelemetry.block` differences only the ones it exports.
 """
 
 from __future__ import annotations
@@ -63,7 +65,7 @@ from typing import (
 
 from repro.errors import ObsError
 from repro.obs.metrics import histogram_quantile
-from repro.obs.series import pairwise, runs
+from repro.obs.series import runs
 
 __all__ = [
     "FLEET_TIMESERIES_SCHEMA",
@@ -87,15 +89,51 @@ FLEET_SLO_SCHEMA = "repro.fleet-slo/1"
 _MAX_EXPORT_WINDOWS = 128
 
 
-def _last(_first, later):
-    return later
-
-
 def _add_buckets(first: List[int], later: List[int]) -> List[int]:
     """Sum two bucket-delta lists (``[]``: no histogram bound yet)."""
     if first and later:
         return [a + b for a, b in zip(first, later)]
     return first or later
+
+
+class _Thinned:
+    """What halving a growing sequence to at most ``cap`` items can keep.
+
+    Halving pairwise, keeping the later item of each pair, ``k`` times
+    keeps the items ``i`` with ``(i + 1) % 2**k == 0`` and the last one.
+    The newest item is held aside; the others are stored when
+    ``(i + 1) % stride == 0``, and past ``cap`` stored items the stride
+    doubles and every other one goes.  The stride never passes the
+    ``2**k`` that :meth:`kept` needs, so nothing it keeps is lost.
+    """
+
+    __slots__ = ("cap", "count", "stride", "stored", "newest")
+
+    def __init__(self, cap: int) -> None:
+        self.cap = cap
+        self.count = 0
+        self.stride = 1
+        self.stored: list = []
+        #: The last item; replacing it changes no other item's fate.
+        self.newest = None
+
+    def append(self, item) -> None:
+        if self.count and self.count % self.stride == 0:
+            self.stored.append(self.newest)
+            if len(self.stored) > self.cap:
+                self.stride *= 2
+                self.stored = self.stored[1::2]
+        self.newest = item
+        self.count += 1
+
+    def kept(self) -> Tuple[int, list]:
+        """The halving passes that bring the items within ``cap``, and
+        the items they keep."""
+        passes, count = 0, self.count
+        while count > self.cap:
+            passes, count = passes + 1, (count + 1) // 2
+        step = (1 << passes) // self.stride
+        return passes, [*self.stored[step - 1 :: step], self.newest]
 
 
 class _Close(NamedTuple):
@@ -279,8 +317,8 @@ class FleetTelemetry:
         self._truncated = 0
         self._next_boundary = 0
         self._end: Optional[int] = None
-        # One entry per closed window; differenced only at export.
-        self._closes: List[_Close] = []
+        # Window closes the export can keep; differenced only there.
+        self._closes = _Thinned(_MAX_EXPORT_WINDOWS)
         self._rebalances: List[Dict[str, object]] = []
 
     # ------------------------------------------------------------------
@@ -341,7 +379,7 @@ class FleetTelemetry:
     def series_tick(self, t: int) -> None:
         """Called at every event-loop pop; closes any elapsed windows."""
         while t >= self._next_boundary:
-            self._close_window(self._next_boundary)
+            self._closes.append(self._close_window(self._next_boundary))
             self._next_boundary += self._window_cycles
 
     def series_rebalance(
@@ -377,7 +415,7 @@ class FleetTelemetry:
         if self._end is not None:
             raise ObsError("series_finish called twice")
         while self._next_boundary < end:
-            self._close_window(self._next_boundary)
+            self._closes.append(self._close_window(self._next_boundary))
             self._next_boundary += self._window_cycles
         # The tail window absorbs everything up to the true end —
         # including channel drain done by driver.finish — so the
@@ -388,17 +426,18 @@ class FleetTelemetry:
         # cycle 0 has no boundary to fold into and gets one 1-cycle
         # window, as no window is empty.
         closes = self._closes
-        tail = max(end, closes[-1].end if closes else 1)
-        if closes and closes[-1].end == tail:
-            closes.pop()
-        self._close_window(tail)
+        tail = max(end, closes.newest.end if closes.count else 1)
+        if closes.count and closes.newest.end == tail:
+            closes.newest = self._close_window(tail)
+        else:
+            closes.append(self._close_window(tail))
         self._end = end
 
     # ------------------------------------------------------------------
     # Sampling internals
     # ------------------------------------------------------------------
 
-    def _close_window(self, boundary: int) -> None:
+    def _close_window(self, boundary: int) -> _Close:
         """Snapshot every running total and gauge at ``boundary``.
 
         A tenant's previous snapshot is reused while its resident
@@ -448,7 +487,7 @@ class FleetTelemetry:
             channel.demand_loads + channel.sip_loads + channel.preloads_completed,
             evictions,
         )
-        self._closes.append(_Close(boundary, fleet, snapshots))
+        return _Close(boundary, fleet, snapshots)
 
     # ------------------------------------------------------------------
     # Export
@@ -477,19 +516,15 @@ class FleetTelemetry:
         windows by keeping every ``2**coarsen_passes``-th close (and
         the last): halving the close indices pairwise, keeping the
         later of each pair, groups exactly the windows a pairwise merge
-        of per-window deltas would.  Only the kept snapshots are
-        differenced.
+        of per-window deltas would.  The sampler held only the closes
+        some number of passes can keep, and only the kept snapshots
+        are differenced.
         """
         if self._end is None:
             raise ObsError(
                 "fleet telemetry is incomplete: series_finish never ran"
             )
-        kept = list(range(len(self._closes)))
-        coarsen_passes = 0
-        while len(kept) > _MAX_EXPORT_WINDOWS:
-            kept = pairwise(kept, _last)
-            coarsen_passes += 1
-        closes = [self._closes[i] for i in kept]
+        coarsen_passes, closes = self._closes.kept()
         run_start = _Close(0, (0,) * 6, [None] * len(self._tenants))
         opens = [run_start, *closes[:-1]]
         n = len(closes)

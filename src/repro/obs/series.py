@@ -2,13 +2,14 @@
 
 The paging ledger (:mod:`repro.obs.paging`) and the fleet sampler
 (:mod:`repro.obs.fleet_telemetry`) both slice a run into windows,
-halve the windows (the sampler: their closing snapshots) until they
-fit an export cap, and merge runs of consecutive windows into phases
-or intervals.  Both steps live here so every observer coarsens and
-groups windows the same way:
+halve the windows until they fit an export cap, and merge runs of
+consecutive windows into phases or intervals.  Both steps live here so
+every observer coarsens and groups windows the same way:
 
 * :func:`pairwise` — merge adjacent pairs with a caller-supplied merge;
-  an odd last window passes through unchanged;
+  an odd last window passes through unchanged.  The fleet sampler
+  keeps, while it samples, the window closes this halving keeps (its
+  tests compare the two);
 * :func:`runs` — maximal runs of equal consecutive keys.
 """
 

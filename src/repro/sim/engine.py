@@ -152,61 +152,64 @@ def simulate(
         tracer=tracer,
         profiler=profiler,
     )
-    breakdown = driver.stats.time
-    instrumented = plan.instrumented if plan is not None else None
+    try:
+        breakdown = driver.stats.time
+        instrumented = plan.instrumented if plan is not None else None
 
-    now = 0
-    sip_prefetch = driver.sip_prefetch
-    access = driver.access
-    events: Iterable[TraceEvent] = (
-        trace if trace is not None else workload.trace(seed=seed, input_set=input_set)
-    )
-    if max_accesses is not None:
-        events = islice(events, max_accesses)
-    # Hot loop.  Two variants so the common non-SIP run pays neither
-    # the membership test nor the extra branch per event; both keep
-    # ``breakdown.compute`` current per event because the sanitizer's
-    # per-tick accounting identity reads it mid-run.
-    if instrumented is None:
-        for _instr, page, cycles in events:
-            now += cycles
-            breakdown.compute += cycles
-            now = access(page, now)
-    else:
-        for instr, page, cycles in events:
-            now += cycles
-            breakdown.compute += cycles
-            if instr in instrumented:
-                now = sip_prefetch(page, now)
-            now = access(page, now)
-    driver.finish(now)
-    if driver.sanitizer is not None:
-        # End-of-run sweep: the per-tick checks ran at every scan; this
-        # closes the run with the same identity at the final clock plus
-        # the EPC-occupancy and abort-accounting invariants.
-        driver.sanitizer.check_final(driver.stats, now)
-
-    if breakdown.total != now:
-        raise SimulationError(
-            f"time accounting mismatch: buckets sum to {breakdown.total}, "
-            f"clock reads {now}"
+        now = 0
+        sip_prefetch = driver.sip_prefetch
+        access = driver.access
+        events: Iterable[TraceEvent] = (
+            trace if trace is not None else workload.trace(seed=seed, input_set=input_set)
         )
-    return RunResult(
-        workload=workload.name,
-        scheme=scheme.name,
-        input_set=input_set,
-        seed=seed,
-        total_cycles=now,
-        stats=driver.stats,
-        config=config,
-        sip_points=points,
-        events=ring.events if ring is not None else None,
-        metrics=(
-            metrics.as_dict()
-            if metrics is not None and metrics.enabled
-            else None
-        ),
-    )
+        if max_accesses is not None:
+            events = islice(events, max_accesses)
+        # Hot loop.  Two variants so the common non-SIP run pays neither
+        # the membership test nor the extra branch per event; both keep
+        # ``breakdown.compute`` current per event because the sanitizer's
+        # per-tick accounting identity reads it mid-run.
+        if instrumented is None:
+            for _instr, page, cycles in events:
+                now += cycles
+                breakdown.compute += cycles
+                now = access(page, now)
+        else:
+            for instr, page, cycles in events:
+                now += cycles
+                breakdown.compute += cycles
+                if instr in instrumented:
+                    now = sip_prefetch(page, now)
+                now = access(page, now)
+        driver.finish(now)
+        if driver.sanitizer is not None:
+            # End-of-run sweep: the per-tick checks ran at every scan; this
+            # closes the run with the same identity at the final clock plus
+            # the EPC-occupancy and abort-accounting invariants.
+            driver.sanitizer.check_final(driver.stats, now)
+
+        if breakdown.total != now:
+            raise SimulationError(
+                f"time accounting mismatch: buckets sum to {breakdown.total}, "
+                f"clock reads {now}"
+            )
+        return RunResult(
+            workload=workload.name,
+            scheme=scheme.name,
+            input_set=input_set,
+            seed=seed,
+            total_cycles=now,
+            stats=driver.stats,
+            config=config,
+            sip_points=points,
+            events=ring.events if ring is not None else None,
+            metrics=(
+                metrics.as_dict()
+                if metrics is not None and metrics.enabled
+                else None
+            ),
+        )
+    finally:
+        driver.platform.release()
 
 
 def simulate_native(

@@ -440,259 +440,266 @@ def simulate_fleet(
     input_set = scenario.input_set
 
     platform = SharedPlatform(config)
-    frames = _make_frames(scenario, platform)
-    platform.frames = frames
-    channel = platform.channel
-    if telemetry is not None:
-        telemetry.series_begin(config, platform, frames)
-
-    tenants: List[_Tenant] = []
-    base = 0
-    names_seen: Dict[str, int] = {}
-    for index, spec in enumerate(scenario.tenants):
-        workload = _resolve_workload(spec)
-        tenant = _Tenant(index, spec, workload, base)
-        if tenant.name in names_seen:
-            raise ConfigError(
-                f"duplicate tenant name {tenant.name!r} "
-                f"(tenants {names_seen[tenant.name]} and {index})"
-            )
-        names_seen[tenant.name] = index
-        if spec.scheme in ("sip", "hybrid") and spec.sip_plan is None:
-            tenant.sip_plan = prepare_sip_plan(workload, config, seed=seed)
-        else:
-            tenant.sip_plan = spec.sip_plan
-        tenants.append(tenant)
-        base += workload.elrange_pages
+    try:
+        frames = _make_frames(scenario, platform)
+        platform.frames = frames
+        channel = platform.channel
         if telemetry is not None:
-            telemetry.series_tenant(
-                index, tenant.name, spec.scheme, workload.name, spec.arrival
-            )
+            telemetry.series_begin(config, platform, frames)
 
-    heap: List[Tuple[int, int, int]] = []
-    queue: List[int] = []  # FIFO admission queue of tenant indices
-    active = 0
-    live = len(tenants)  # tenants not yet departed (or never admitted)
-    rebalance_period = (
-        scenario.rebalance_period_cycles
-        if scenario.policy == "adaptive-quota"
-        else None
-    )
-
-    def admit(tenant: _Tenant, t: int) -> None:
-        nonlocal active
-        scheme = make_scheme(tenant.spec.scheme, config, sip_plan=tenant.sip_plan)
-        plan = scheme.sip_plan
-        enclave = Enclave(
-            name=tenant.name,
-            elrange_pages=tenant.workload.elrange_pages,
-            pid=tenant.index,
-            instrumentation_points=(
-                plan.instrumentation_points if plan is not None else 0
-            ),
-            base_page=tenant.base_page,
-        )
-        registry = MetricsRegistry(enabled=True)
-        driver = SgxDriver(
-            config,
-            enclave,
-            dfp=scheme.build_dfp(),
-            platform=platform,
-            metrics=registry,
-        )
-        tenant.driver = driver
-        tenant.registry = registry
-        if plan is not None:
-            tenant.instrumented = plan.instrumented
-        if frames is not None:
-            frames.on_admit(driver)
-        active += 1
-        record = tenant.record
-        record.admitted = True
-        record.admitted_at = t
-        if telemetry is not None:
-            telemetry.series_admit(tenant.index, t, driver, registry)
-        start = t
-        spinup = min(scenario.spinup_pages, enclave.elrange_pages)
-        if spinup:
-            # Enclave build: the initial pages stream through the same
-            # exclusive channel as everyone's demand faults, so a big
-            # spin-up visibly delays the neighbours.
-            platform.poll(start)
-            for offset in range(spinup):
-                start = channel.load_sync(
-                    tenant.base_page + offset, LoadKind.DEMAND, start
+        tenants: List[_Tenant] = []
+        base = 0
+        names_seen: Dict[str, int] = {}
+        for index, spec in enumerate(scenario.tenants):
+            workload = _resolve_workload(spec)
+            tenant = _Tenant(index, spec, workload, base)
+            if tenant.name in names_seen:
+                raise ConfigError(
+                    f"duplicate tenant name {tenant.name!r} "
+                    f"(tenants {names_seen[tenant.name]} and {index})"
                 )
-        record.started_at = start
-        if telemetry is not None:
-            telemetry.series_started(tenant.index, start)
-        tenant.now = start
-        # Everything before the first trace event — pre-arrival time,
-        # admission wait, spin-up — is outside-the-enclave idle time.
-        tenant.pending_idle = start
-        tenant.next_arrival = start
-        tenant.trace = iter(tenant.workload.trace(seed=seed, input_set=input_set))
-        if tenant.spec.requests is not None:
-            tenant.gaps = request_gaps(
-                tenant.spec.requests, seed=seed, salt=tenant.index
-            )
-        if not tenant.schedule(heap):
-            depart(tenant, truncated=False)
+            names_seen[tenant.name] = index
+            if spec.scheme in ("sip", "hybrid") and spec.sip_plan is None:
+                tenant.sip_plan = prepare_sip_plan(workload, config, seed=seed)
+            else:
+                tenant.sip_plan = spec.sip_plan
+            tenants.append(tenant)
+            base += workload.elrange_pages
+            if telemetry is not None:
+                telemetry.series_tenant(
+                    index, tenant.name, spec.scheme, workload.name, spec.arrival
+                )
 
-    def depart(tenant: _Tenant, *, truncated: bool) -> None:
-        nonlocal active, live
-        tenant.done = True
-        tenant.record.completed = not truncated
-        tenant.record.departed_at = tenant.now
-        if telemetry is not None:
-            telemetry.series_depart(
-                tenant.index, tenant.now, truncated=truncated
-            )
-        # Flush residual idle (a tenant can depart without ever running
-        # an event) and pin the driver's hardware clock to now.
-        tenant.driver.account_idle(tenant.pending_idle, tenant.now)
-        tenant.pending_idle = 0
-        if frames is not None:
-            frames.on_depart(tenant.driver)
-        active -= 1
-        live -= 1
-        while queue and (
-            scenario.max_admitted is None or active < scenario.max_admitted
-        ):
-            admit(tenants[queue.pop(0)], tenant.now)
-
-    for tenant in tenants:
-        tenant.record = TenantRecord(
-            name=tenant.name,
-            index=tenant.index,
-            spec=tenant.spec,
-            result=None,  # filled in below
+        heap: List[Tuple[int, int, int]] = []
+        queue: List[int] = []  # FIFO admission queue of tenant indices
+        active = 0
+        live = len(tenants)  # tenants not yet departed (or never admitted)
+        rebalance_period = (
+            scenario.rebalance_period_cycles
+            if scenario.policy == "adaptive-quota"
+            else None
         )
-        heapq.heappush(heap, (tenant.spec.arrival, _RANK_CONTROL, tenant.index))
-    if rebalance_period is not None:
-        heapq.heappush(heap, (rebalance_period, _RANK_CONTROL, _REBALANCE))
 
-    truncated_at: Optional[int] = None
-    while heap:
-        time, rank, index = heapq.heappop(heap)
-        if scenario.duration is not None and time > scenario.duration:
-            truncated_at = scenario.duration
-            break
-        if index == _REBALANCE and live == 0:
-            # The tick queued before the last departure: no tenant is
-            # left to rebalance, and closing windows up to it would run
-            # the time series past the end of the fleet run.
-            continue
-        if telemetry is not None:
-            telemetry.series_tick(time)
-        if rank == _RANK_CONTROL:
-            if index == _REBALANCE:
-                if telemetry is not None:
-                    passes = frames.rebalances
-                    before = {
-                        t.name: frames.quota_of(t.driver)
-                        for t in tenants
-                        if t.driver is not None
-                    }
-                    frames.rebalance(time)
-                    # A tick with no active tenants re-apportions
-                    # nothing and is not counted by the policy; record
-                    # only decisions that actually ran.
-                    if frames.rebalances != passes:
-                        after = {
+        def admit(tenant: _Tenant, t: int) -> None:
+            nonlocal active
+            scheme = make_scheme(tenant.spec.scheme, config, sip_plan=tenant.sip_plan)
+            plan = scheme.sip_plan
+            enclave = Enclave(
+                name=tenant.name,
+                elrange_pages=tenant.workload.elrange_pages,
+                pid=tenant.index,
+                instrumentation_points=(
+                    plan.instrumentation_points if plan is not None else 0
+                ),
+                base_page=tenant.base_page,
+            )
+            registry = MetricsRegistry(enabled=True)
+            driver = SgxDriver(
+                config,
+                enclave,
+                dfp=scheme.build_dfp(),
+                platform=platform,
+                metrics=registry,
+            )
+            tenant.driver = driver
+            tenant.registry = registry
+            if plan is not None:
+                tenant.instrumented = plan.instrumented
+            if frames is not None:
+                frames.on_admit(driver)
+            active += 1
+            record = tenant.record
+            record.admitted = True
+            record.admitted_at = t
+            if telemetry is not None:
+                telemetry.series_admit(tenant.index, t, driver, registry)
+            start = t
+            spinup = min(scenario.spinup_pages, enclave.elrange_pages)
+            if spinup:
+                # Enclave build: the initial pages stream through the same
+                # exclusive channel as everyone's demand faults, so a big
+                # spin-up visibly delays the neighbours.
+                platform.poll(start)
+                for offset in range(spinup):
+                    start = channel.load_sync(
+                        tenant.base_page + offset, LoadKind.DEMAND, start
+                    )
+            record.started_at = start
+            if telemetry is not None:
+                telemetry.series_started(tenant.index, start)
+            tenant.now = start
+            # Everything before the first trace event — pre-arrival time,
+            # admission wait, spin-up — is outside-the-enclave idle time.
+            tenant.pending_idle = start
+            tenant.next_arrival = start
+            tenant.trace = iter(tenant.workload.trace(seed=seed, input_set=input_set))
+            if tenant.spec.requests is not None:
+                tenant.gaps = request_gaps(
+                    tenant.spec.requests, seed=seed, salt=tenant.index
+                )
+            if not tenant.schedule(heap):
+                depart(tenant, truncated=False)
+
+        def depart(tenant: _Tenant, *, truncated: bool) -> None:
+            nonlocal active, live
+            tenant.done = True
+            tenant.record.completed = not truncated
+            tenant.record.departed_at = tenant.now
+            if telemetry is not None:
+                telemetry.series_depart(
+                    tenant.index, tenant.now, truncated=truncated
+                )
+            # Flush residual idle (a tenant can depart without ever running
+            # an event) and pin the driver's hardware clock to now.
+            tenant.driver.account_idle(tenant.pending_idle, tenant.now)
+            tenant.pending_idle = 0
+            if frames is not None:
+                frames.on_depart(tenant.driver)
+            active -= 1
+            live -= 1
+            while queue and (
+                scenario.max_admitted is None or active < scenario.max_admitted
+            ):
+                admit(tenants[queue.pop(0)], tenant.now)
+
+        for tenant in tenants:
+            tenant.record = TenantRecord(
+                name=tenant.name,
+                index=tenant.index,
+                spec=tenant.spec,
+                result=None,  # filled in below
+            )
+            heapq.heappush(heap, (tenant.spec.arrival, _RANK_CONTROL, tenant.index))
+        if rebalance_period is not None:
+            heapq.heappush(heap, (rebalance_period, _RANK_CONTROL, _REBALANCE))
+
+        truncated_at: Optional[int] = None
+        while heap:
+            time, rank, index = heapq.heappop(heap)
+            if scenario.duration is not None and time > scenario.duration:
+                truncated_at = scenario.duration
+                break
+            if index == _REBALANCE and live == 0:
+                # The tick queued before the last departure: no tenant is
+                # left to rebalance, and closing windows up to it would run
+                # the time series past the end of the fleet run.
+                continue
+            if telemetry is not None:
+                telemetry.series_tick(time)
+            if rank == _RANK_CONTROL:
+                if index == _REBALANCE:
+                    if telemetry is not None:
+                        passes = frames.rebalances
+                        before = {
                             t.name: frames.quota_of(t.driver)
                             for t in tenants
                             if t.driver is not None
                         }
-                        telemetry.series_rebalance(time, before, after)
+                        frames.rebalance(time)
+                        # A tick with no active tenants re-apportions
+                        # nothing and is not counted by the policy; record
+                        # only decisions that actually ran.
+                        if frames.rebalances != passes:
+                            after = {
+                                t.name: frames.quota_of(t.driver)
+                                for t in tenants
+                                if t.driver is not None
+                            }
+                            telemetry.series_rebalance(time, before, after)
+                    else:
+                        frames.rebalance(time)
+                    if live > 0:
+                        heapq.heappush(
+                            heap, (time + rebalance_period, _RANK_CONTROL, _REBALANCE)
+                        )
+                    continue
+                tenant = tenants[index]
+                if scenario.max_admitted is not None and active >= scenario.max_admitted:
+                    queue.append(index)
+                    if telemetry is not None:
+                        telemetry.series_queued(index, time)
                 else:
-                    frames.rebalance(time)
-                if live > 0:
-                    heapq.heappush(
-                        heap, (time + rebalance_period, _RANK_CONTROL, _REBALANCE)
-                    )
+                    admit(tenant, time)
                 continue
             tenant = tenants[index]
-            if scenario.max_admitted is not None and active >= scenario.max_admitted:
-                queue.append(index)
-                if telemetry is not None:
-                    telemetry.series_queued(index, time)
-            else:
-                admit(tenant, time)
-            continue
-        tenant = tenants[index]
-        instr, page, cycles = tenant.pending
-        driver = tenant.driver
-        driver.account_idle(tenant.pending_idle, time)
-        tenant.pending_idle = 0
-        driver.stats.time.compute += cycles
-        tenant.now = time
-        global_page = page + tenant.base_page
-        if tenant.instrumented is not None and instr in tenant.instrumented:
-            tenant.now = driver.sip_prefetch(global_page, tenant.now)
-        tenant.now = driver.access(global_page, tenant.now)
-        if not tenant.schedule(heap):
-            depart(tenant, truncated=False)
-
-    admitted = [t for t in tenants if t.record.admitted]
-    end = max((t.now for t in admitted), default=0)
-    if truncated_at is not None:
-        end = max(end, truncated_at)
-    for tenant in admitted:
-        if not tenant.done:
-            # Duration cutoff: the tenant was still running.  Flush the
-            # idle it had accrued toward its never-run next event
-            # (admission wait, spin-up, or an open-loop gap) so the
-            # time-accounting identity below holds, mirroring depart().
-            tenant.record.departed_at = None
-            tenant.driver.account_idle(tenant.pending_idle, tenant.now)
+            instr, page, cycles = tenant.pending
+            driver = tenant.driver
+            driver.account_idle(tenant.pending_idle, time)
             tenant.pending_idle = 0
-        tenant.driver.finish(end)
-        stats = tenant.driver.stats
-        if stats.time.total != tenant.now:
-            raise SimulationError(
-                f"time accounting mismatch for tenant {tenant.name!r}: "
-                f"buckets sum to {stats.time.total}, clock reads {tenant.now}"
-            )
-        if tenant.driver.sanitizer is not None:
-            tenant.driver.sanitizer.check_final(stats, tenant.now)
+            driver.stats.time.compute += cycles
+            tenant.now = time
+            global_page = page + tenant.base_page
+            if tenant.instrumented is not None and instr in tenant.instrumented:
+                tenant.now = driver.sip_prefetch(global_page, tenant.now)
+            tenant.now = driver.access(global_page, tenant.now)
+            if not tenant.schedule(heap):
+                depart(tenant, truncated=False)
 
-    if telemetry is not None:
+        admitted = [t for t in tenants if t.record.admitted]
+        end = max((t.now for t in admitted), default=0)
+        if truncated_at is not None:
+            end = max(end, truncated_at)
         for tenant in admitted:
             if not tenant.done:
-                telemetry.series_truncated(tenant.index)
-        telemetry.series_finish(end)
+                # Duration cutoff: the tenant was still running.  Flush the
+                # idle it had accrued toward its never-run next event
+                # (admission wait, spin-up, or an open-loop gap) so the
+                # time-accounting identity below holds, mirroring depart().
+                tenant.record.departed_at = None
+                tenant.driver.account_idle(tenant.pending_idle, tenant.now)
+                tenant.pending_idle = 0
+            tenant.driver.finish(end)
+            stats = tenant.driver.stats
+            if stats.time.total != tenant.now:
+                raise SimulationError(
+                    f"time accounting mismatch for tenant {tenant.name!r}: "
+                    f"buckets sum to {stats.time.total}, clock reads {tenant.now}"
+                )
+            if tenant.driver.sanitizer is not None:
+                tenant.driver.sanitizer.check_final(stats, tenant.now)
 
-    results: List[RunResult] = []
-    for tenant in tenants:
-        driver = tenant.driver
-        result = RunResult(
-            workload=tenant.workload.name,
-            scheme=tenant.spec.scheme,
-            input_set=input_set,
-            seed=seed,
-            total_cycles=tenant.now,
-            stats=driver.stats if driver is not None else _empty_stats(),
+        if telemetry is not None:
+            for tenant in admitted:
+                if not tenant.done:
+                    telemetry.series_truncated(tenant.index)
+            telemetry.series_finish(end)
+
+        results: List[RunResult] = []
+        for tenant in tenants:
+            driver = tenant.driver
+            result = RunResult(
+                workload=tenant.workload.name,
+                scheme=tenant.spec.scheme,
+                input_set=input_set,
+                seed=seed,
+                total_cycles=tenant.now,
+                stats=driver.stats if driver is not None else _empty_stats(),
+                config=config,
+                sip_points=(
+                    driver.enclave.instrumentation_points if driver is not None else 0
+                ),
+            )
+            tenant.record.result = result
+            tenant.record.requests_served = tenant.requests_served
+            tenant.record.qos = _tenant_qos(tenant, config, frames)
+            results.append(result)
+
+        rebalances = frames.rebalances if isinstance(frames, AdaptiveQuotaFrames) else 0
+        return FleetResult(
+            scenario=scenario,
             config=config,
-            sip_points=(
-                driver.enclave.instrumentation_points if driver is not None else 0
-            ),
+            results=results,
+            tenants=[t.record for t in tenants],
+            end_cycles=end,
+            rebalances=rebalances,
+            timeseries=telemetry.block() if telemetry is not None else None,
         )
-        tenant.record.result = result
-        tenant.record.requests_served = tenant.requests_served
-        tenant.record.qos = _tenant_qos(tenant, config, frames)
-        results.append(result)
-
-    rebalances = frames.rebalances if isinstance(frames, AdaptiveQuotaFrames) else 0
-    return FleetResult(
-        scenario=scenario,
-        config=config,
-        results=results,
-        tenants=[t.record for t in tenants],
-        end_cycles=end,
-        rebalances=rebalances,
-        timeseries=telemetry.block() if telemetry is not None else None,
-    )
+    finally:
+        # Leave the run's state to reference counting: the platform
+        # drops its drivers, and the two closures, which call each
+        # other, are unbound.
+        platform.release()
+        admit = depart = None
 
 
 def _empty_stats():

@@ -29,7 +29,7 @@ Properties the drivers rely on:
   not burn its budget waiting for a slot — are abandoned
   (:class:`~repro.errors.JobTimeoutError`) and retried, and a worker
   still wedged on an abandoned attempt when the sweep finishes is
-  detached rather than waited for;
+  terminated rather than waited for;
   every result must pass a replayed-manifest digest check before
   it is accepted (:class:`~repro.errors.ResultIntegrityError`
   otherwise); completed runs are checkpointed and resumable; and if
@@ -533,14 +533,15 @@ class _JobRunner:
         workers finish the stale attempt eventually and the
         exactly-once guard in :meth:`_accept` discards whatever they
         produce.  If such a worker is still wedged when the job loop
-        finishes, the pool is released without waiting for it —
-        ``cancel()`` cannot stop a running attempt, and blocking
-        ``run_jobs`` on a hung process would re-create the very
-        failure the timeout recovered from.  (A *permanently* hung
-        worker is only detached, not killed: it still occupies its
-        slot until it dies, and if every worker wedges permanently the
-        remaining jobs can never be scheduled — finite hangs recover,
-        permanent ones are documented as unrecoverable.)
+        finishes, the pool is shut down without waiting for it and its
+        workers are then terminated — ``cancel()`` cannot stop a
+        running attempt, and blocking ``run_jobs``, or the
+        interpreter's exit, which joins every worker, on a hung
+        process would re-create the very failure the timeout recovered
+        from.  While the loop runs, a wedged worker still occupies its
+        slot: if every worker wedges for good, the remaining jobs can
+        never be scheduled — finite hangs recover, permanent ones are
+        documented as unrecoverable.
         """
         pending: Dict["futures.Future", Tuple[int, int, Optional[float]]] = {}
         try:
@@ -571,9 +572,13 @@ class _JobRunner:
         finally:
             # Wait only if no abandoned attempt is still running in a
             # worker; a wedged worker would block shutdown(True)
-            # forever and run_jobs with it.
+            # forever and run_jobs with it.  ``shutdown`` drops the
+            # pool's process handles, so they are taken first.
             wedged = any(not future.done() for future in self.abandoned)
+            workers = list(executor._processes.values()) if wedged else []
             executor.shutdown(wait=not wedged, cancel_futures=True)
+            for worker in workers:
+                worker.terminate()
 
     def _capacity(self, width: int, pending: Dict) -> int:
         """Free slots: executor width minus in-flight and wedged."""

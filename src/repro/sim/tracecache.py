@@ -5,8 +5,9 @@ Workload traces are deterministic in ``(workload, seed, input_set)``
 regenerate the same event stream once per scheme: a four-scheme
 comparison walked the same generator pipeline — phase factories, page
 bounds checks, instruction checks — four times.  This module
-materializes a trace once into three compact ``array('q')`` columns
-and replays it for every subsequent run of the same key.
+materializes a trace once into three compact ``array`` columns, each
+in the narrowest signed typecode that holds its values, and replays it
+for every subsequent run of the same key.
 
 Replay is exact: :class:`MaterializedTrace` yields the identical
 ``(instruction, page, compute_cycles)`` tuples the generator would
@@ -40,9 +41,15 @@ __all__ = [
     "shared_trace_cache",
 ]
 
-#: Default byte budget of the process-wide shared cache: enough for
-#: every scale-16 workload model at once, small next to the EPC model.
+#: Default byte budget of the process-wide shared cache.  One seed of
+#: every registry workload takes 2.5 MiB at scale 16 (489,301 events,
+#: 5.35 bytes each) and 51.4 MiB at paper scale (7,828,464 events, 6.89
+#: bytes each), so four paper-scale sets fit.
 DEFAULT_TRACE_CACHE_BYTES = 256 * MIB
+
+#: Signed ``array`` typecodes, narrowest first, each with the bound of
+#: the range ``[-bound, bound)`` it holds.
+_SIGNED = tuple((code, 1 << (8 * array(code).itemsize - 1)) for code in "bhiq")
 
 #: Identity of one materialized trace: ``(name, scale, footprint_pages,
 #: seed, input_set)``.  Workload *names* do not encode the build scale,
@@ -57,6 +64,7 @@ CacheKey = Tuple[str, Optional[int], int, int, str]
 class MaterializedTrace:
     """One workload trace, stored as three parallel ``array`` columns.
 
+    Each column has the narrowest signed typecode that holds its values.
     Iterating yields the same :data:`~repro.workloads.base.TraceEvent`
     tuples as the originating generator, in the same order.
     """
@@ -82,20 +90,42 @@ class MaterializedTrace:
 
 
 def materialize(workload: Workload, *, seed: int, input_set: str) -> MaterializedTrace:
-    """Walk one trace generator to completion into compact columns."""
-    instructions = array("q")
-    pages = array("q")
-    cycles = array("q")
+    """Walk one trace generator to completion into compact columns.
+
+    Every column starts one byte wide and is widened, in the same walk,
+    by the first value it cannot hold.
+    """
+    instructions = array("b")
+    pages = array("b")
+    cycles = array("b")
     for instr, page, compute in workload.trace(seed=seed, input_set=input_set):
-        instructions.append(instr)
-        pages.append(page)
-        cycles.append(compute)
+        try:
+            instructions.append(instr)
+        except OverflowError:
+            instructions = _widened(instructions, instr)
+        try:
+            pages.append(page)
+        except OverflowError:
+            pages = _widened(pages, page)
+        try:
+            cycles.append(compute)
+        except OverflowError:
+            cycles = _widened(cycles, compute)
     return MaterializedTrace(
         key=trace_key(workload, seed, input_set),
         instructions=instructions,
         pages=pages,
         cycles=cycles,
     )
+
+
+def _widened(column: array, value: int) -> array:
+    """``column`` copied into the narrowest typecode that holds ``value``, then
+    ``value`` appended; past int64 the append raises :class:`OverflowError`."""
+    code = next((code for code, bound in _SIGNED if -bound <= value < bound), "q")
+    column = array(code, column)
+    column.append(value)
+    return column
 
 
 def trace_key(workload: Workload, seed: int, input_set: str) -> CacheKey:

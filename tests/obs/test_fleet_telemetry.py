@@ -20,15 +20,18 @@ import pytest
 
 from repro.errors import ObsError
 from repro.obs.fleet_telemetry import (
+    _MAX_EXPORT_WINDOWS,
     FLEET_SLO_SCHEMA,
     FLEET_TIMESERIES_SCHEMA,
     FleetTelemetry,
     SloSpec,
+    _Thinned,
     detect_thrash,
     evaluate_slo,
     validate_fleet_timeseries,
 )
 from repro.obs.manifest import manifest_digest
+from repro.obs.series import pairwise
 from repro.sim.fleet import (
     EPC_POLICIES,
     SCENARIO_NAMES,
@@ -326,6 +329,37 @@ class TestWindowing:
     def test_invalid_window_width_rejected(self):
         with pytest.raises(ObsError):
             FleetTelemetry(window_cycles=0)
+
+    def test_sampler_keeps_what_pairwise_coarsening_keeps(self):
+        """The closes the sampler keeps are the ones halving every close
+        pairwise, keeping the later of each pair, would keep; also when
+        the tail fold replaces the newest close."""
+
+        def coarsened(rows):
+            passes = 0
+            while len(rows) > _MAX_EXPORT_WINDOWS:
+                rows, passes = pairwise(rows, lambda _first, later: later), passes + 1
+            return passes, rows
+
+        closes = _Thinned(_MAX_EXPORT_WINDOWS)
+        for n in range(1, 4_101):
+            closes.append(n - 1)
+            assert closes.kept() == coarsened(list(range(n)))
+            closes.newest = "tail"
+            assert closes.kept() == coarsened([*range(n - 1), "tail"])
+            closes.newest = n - 1
+            assert len(closes.stored) <= _MAX_EXPORT_WINDOWS
+
+    def test_long_run_holds_a_bounded_number_of_closes(self):
+        scenario = build_scenario("smoke", seed=0)
+        telemetry = FleetTelemetry(window_cycles=5_000)
+        result = simulate_fleet(scenario, telemetry=telemetry)
+        closes = telemetry._closes
+        assert closes.count > 1_000
+        assert len(closes.stored) + 1 <= 2 * _MAX_EXPORT_WINDOWS + 1
+        ts = result.timeseries
+        assert len(ts["window_end"]) <= _MAX_EXPORT_WINDOWS
+        validate_fleet_timeseries(ts, fleet_block=result.fleet_block())
 
 
 class TestPinnedBytes:

@@ -14,7 +14,16 @@ from repro.sim.tracecache import (
 )
 from repro.workloads.registry import WORKLOAD_NAMES, build_workload
 
+from tests.conftest import ScriptedWorkload
+
 SCALE = 64
+
+#: Values on each side of every signed typecode edge, with the least
+#: ``array`` itemsize that holds each.
+EDGES = [
+    (127, 1), (128, 2), (-128, 1), (-129, 2),
+    (32_767, 2), (32_768, 4), (2**31 - 1, 4), (2**31, 8),
+]
 
 
 class TestMaterializedTrace:
@@ -27,7 +36,36 @@ class TestMaterializedTrace:
     def test_nbytes_counts_all_columns(self):
         workload = build_workload("microbenchmark", scale=SCALE)
         trace = materialize(workload, seed=0, input_set="ref")
-        assert trace.nbytes == 3 * trace.instructions.itemsize * len(trace)
+        columns = (trace.instructions, trace.pages, trace.cycles)
+        assert trace.nbytes == sum(column.itemsize for column in columns) * len(trace)
+
+    @pytest.mark.parametrize("column", [0, 1, 2])
+    @pytest.mark.parametrize(("value", "itemsize"), EDGES)
+    def test_column_widens_to_the_least_itemsize(self, column, value, itemsize):
+        """A value past a column's typecode, first seen after 1,000
+        events, widens only that column, and replay stays exact."""
+        events = [(i % 100, i % 90, i % 80) for i in range(1_000)]
+        edge = [1, 1, 1]
+        edge[column] = value
+        events += [tuple(edge), (5, 6, 7), tuple(edge)]
+        trace = materialize(
+            ScriptedWorkload(events, footprint_pages=100), seed=0, input_set="ref"
+        )
+        assert list(trace) == events
+        columns = (trace.instructions, trace.pages, trace.cycles)
+        assert [c.itemsize for c in columns] == [
+            itemsize if i == column else 1 for i in range(3)
+        ]
+
+    def test_value_past_int64_still_raises(self):
+        events = [(0, 0, 1)] * 10 + [(0, 0, 2**63)]
+        with pytest.raises(OverflowError):
+            materialize(ScriptedWorkload(events), seed=0, input_set="ref")
+
+    def test_registry_traces_take_at_most_eight_bytes_per_event(self):
+        for name in WORKLOAD_NAMES:
+            trace = materialize(build_workload(name, scale=32), seed=0, input_set="ref")
+            assert trace.nbytes <= 8 * len(trace), name
 
 
 class TestTraceCache:
