@@ -74,7 +74,7 @@ from repro.errors import ConfigError, ReproError
 from repro.robust import ExecutionPolicy, RetryPolicy
 from repro.sim.engine import simulate
 from repro.sim.fleet import EPC_POLICIES as FLEET_POLICIES
-from repro.sim.parallel import JobSpec, WorkloadSpec, run_jobs
+from repro.sim.parallel import WorkloadSpec
 from repro.sim.sweep import compare_schemes, sweep_config
 from repro.workloads.registry import (
     LARGE_IRREGULAR,
@@ -467,19 +467,15 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if policy.is_resilient:
         if observed:
             telemetry = _telemetry_from_args(args, ship_events=True)
-        result = run_jobs(
-            [
-                JobSpec(
-                    workload=WorkloadSpec(args.workload, args.scale),
-                    config=config,
-                    scheme=args.scheme,
-                    seed=args.seed,
-                    input_set=args.input_set,
-                )
-            ],
+        result = compare_schemes(
+            WorkloadSpec(args.workload, args.scale),
+            config,
+            [args.scheme],
+            seed=args.seed,
+            input_set=args.input_set,
             policy=policy,
             telemetry=telemetry,
-        )[0]
+        )[args.scheme]
         if telemetry is not None:
             # The worker stripped its dumps off the result before
             # digesting (passivity across the process boundary);

@@ -14,8 +14,8 @@ substrate the RL100-series rules (:mod:`repro.lint.deep`) analyse:
   and methods, keyed by local qualified name (``f``, ``Cls.m``);
 * :class:`ProgramGraph` — the whole-tree view: module registry,
   name resolution for call expressions (through ``import``/
-  ``from … import`` aliases and package re-exports), function lookup
-  across module boundaries, and the import/call edge sets.
+  ``from … import`` aliases and package re-exports) and function
+  lookup across module boundaries.
 
 Resolution is deliberately best-effort and *static*: nothing is ever
 imported or executed, so the graph can be built over broken or
@@ -312,38 +312,3 @@ class ProgramGraph:
         if qualname is None:
             return None
         return self._dealias(qualname)
-
-    # -- edge views ---------------------------------------------------
-
-    def import_edges(self) -> Dict[str, Set[str]]:
-        """Module → set of modules it imports (program modules only)."""
-        edges: Dict[str, Set[str]] = {}
-        names = set(self.modules)
-        for name, module in self.modules.items():
-            targets: Set[str] = set()
-            for qual in module.imports.values():
-                parts = qual.split(".")
-                for split in range(len(parts), 0, -1):
-                    candidate = ".".join(parts[:split])
-                    if candidate in names:
-                        targets.add(candidate)
-                        break
-            targets.discard(name)
-            edges[name] = targets
-        return edges
-
-    def call_edges(self) -> Dict[str, Set[str]]:
-        """Function → set of program functions it (statically) calls."""
-        edges: Dict[str, Set[str]] = {}
-        for module in self.modules.values():
-            for local, func in module.functions.items():
-                caller = module.qualify(local)
-                callees: Set[str] = set()
-                for node in ast.walk(func):
-                    if not isinstance(node, ast.Call):
-                        continue
-                    target = self.resolve_call(module, node)
-                    if target is not None and self.resolve_function(target):
-                        callees.add(self._dealias(target))
-                edges[caller] = callees
-        return edges

@@ -73,7 +73,7 @@ class ExecutionPolicy:
     def is_resilient(self) -> bool:
         """Whether any feature beyond plain serial execution is on.
 
-        The sweep drivers use this to decide that execution must route
+        The sweep driver uses this to decide that execution must route
         through the job runner (which in turn requires picklable
         :class:`~repro.sim.parallel.WorkloadSpec` coordinates).
         """

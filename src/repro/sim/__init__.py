@@ -9,7 +9,7 @@
 * :mod:`repro.sim.sweep` — parameter sweeps and scheme comparisons,
   the building blocks of every figure in the evaluation.
 * :mod:`repro.sim.parallel` — the resilient process-pool job runner
-  behind the drivers' ``policy=`` parameter (retry, timeout,
+  behind the driver's ``policy=`` parameter (retry, timeout,
   checkpoint/resume, fault injection — see :mod:`repro.robust`).
 * :mod:`repro.sim.tracecache` — byte-budgeted LRU of materialized
   workload traces, shared by every scheme replay of one trace.

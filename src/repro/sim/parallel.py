@@ -27,9 +27,10 @@ Properties the drivers rely on:
   measured from when the attempt starts executing (submission is
   throttled to free workers), so a job queued behind busy workers does
   not burn its budget waiting for a slot — are abandoned
-  (:class:`~repro.errors.JobTimeoutError`) and retried, and a worker
+  (:class:`~repro.errors.JobTimeoutError`) and retried, a worker
   still wedged on an abandoned attempt when the sweep finishes is
-  terminated rather than waited for;
+  terminated rather than waited for, and a worker whose runner's
+  process dies exits too;
   every result must pass a replayed-manifest digest check before
   it is accepted (:class:`~repro.errors.ResultIntegrityError`
   otherwise); completed runs are checkpointed and resumable; and if
@@ -73,6 +74,8 @@ from __future__ import annotations
 import collections
 import dataclasses
 import multiprocessing  # repro-lint: disable=RL007  the sanctioned home
+import os
+import threading
 import time
 from concurrent import futures  # repro-lint: disable=RL007  the sanctioned home
 from dataclasses import dataclass, field
@@ -297,6 +300,22 @@ def _enveloped_run(
             result, total_cycles=result.total_cycles + 1
         )
     return _Envelope(result=result, digest=digest, telemetry=telemetry)
+
+
+def _exit_with_parent() -> None:
+    """Pool-worker initializer: end the worker when its runner's process ends.
+
+    A runner killed by a signal never shuts its pool down, and a worker
+    idle on its call queue would then wait for good.  A daemon thread
+    joins the parent process and exits the worker once it is gone.
+    """
+    parent = multiprocessing.parent_process()
+
+    def watch() -> None:
+        parent.join()
+        os._exit(1)
+
+    threading.Thread(target=watch, daemon=True).start()
 
 
 def _warm_trace_cache(specs: Sequence[JobSpec]) -> None:
@@ -771,7 +790,9 @@ class _JobRunner:
         executor: "futures.Executor" = _InlineExecutor()
         if self.policy.jobs > 1 and len(remaining) > 1:
             _warm_trace_cache([self.specs[i] for i in remaining])
-            executor = futures.ProcessPoolExecutor(max_workers=self.policy.jobs)
+            executor = futures.ProcessPoolExecutor(
+                max_workers=self.policy.jobs, initializer=_exit_with_parent
+            )
         try:
             self._run(executor)
         except futures.BrokenExecutor:

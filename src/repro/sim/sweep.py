@@ -1,23 +1,23 @@
 """Parameter sweeps and scheme comparisons.
 
-These are the experiment drivers: every figure of the evaluation is
-either a scheme comparison over workloads (Figures 8, 10–13) or a
-sweep of one configuration parameter (Figure 6: ``stream_list``
-length; Figure 7: ``LOADLENGTH``; Figure 9: the SIP threshold).
+Every figure of the evaluation is either a scheme comparison over
+workloads (Figures 8, 10–13) or a sweep of one configuration parameter
+(Figure 6: ``stream_list`` length; Figure 7: ``LOADLENGTH``; Figure 9:
+the SIP threshold).  :func:`sweep_config` is the one experiment
+driver, and :func:`compare_schemes` is its one-point case.
 
-Both drivers take ``policy=`` — an
-:class:`~repro.robust.ExecutionPolicy` — and route their independent
-simulations through :func:`repro.sim.parallel.run_jobs` whenever the
-policy asks for anything beyond plain serial execution: worker
-processes, retries, per-job timeouts, checkpoint/resume, or fault
-injection.  The default policy is the serial in-process path.  Two
-caches keep the hot path from repeating work the determinism contract
-makes repeatable:
+The driver takes ``policy=`` — an :class:`~repro.robust.ExecutionPolicy`
+— and routes its independent simulations through
+:func:`repro.sim.parallel.run_jobs` whenever the policy asks for
+anything beyond plain serial execution: worker processes, retries,
+per-job timeouts, checkpoint/resume, or fault injection.  The default
+policy runs each point in-process.  Two caches keep the hot path from
+repeating work the determinism contract makes repeatable:
 
 * traces are materialized once per ``(workload, seed, input_set)`` and
   replayed for every scheme (:mod:`repro.sim.tracecache`); only
   :class:`~repro.sim.parallel.WorkloadSpec` traces enter the
-  process-wide cache, and a live workload is materialized per call;
+  process-wide cache, and a live workload is materialized per point;
 * SIP plans are compile-time artifacts — one binary serves every run
   in the paper — so profiling runs are memoized per trace identity
   ``(workload, footprint, seed)`` and plan compilation per profile +
@@ -156,7 +156,7 @@ class SweepPoint:
         return f"SweepPoint(value={self.value!r}, runs=[{names}])"
 
 
-#: What the drivers accept as "the workload": a live object (serial
+#: What the driver accepts as "the workload": a live object (in-process
 #: only), a picklable registry spec, or a zero-argument factory.
 WorkloadSource = Union[Workload, WorkloadSpec, Callable[[], Workload]]
 
@@ -170,7 +170,7 @@ def _build_workload(source: WorkloadSource) -> Workload:
     return source()
 
 
-def _require_spec(source: WorkloadSource, caller: str) -> WorkloadSpec:
+def _require_spec(source: WorkloadSource) -> WorkloadSpec:
     """The :class:`WorkloadSpec` behind ``source``, or a clear error.
 
     Parallel execution ships jobs to worker processes, so the workload
@@ -181,9 +181,9 @@ def _require_spec(source: WorkloadSource, caller: str) -> WorkloadSpec:
     if isinstance(source, WorkloadSpec):
         return source
     raise ConfigError(
-        f"{caller} with a resilient ExecutionPolicy (worker processes, "
-        f"retries, timeouts, checkpointing or fault injection) or with "
-        f"execution telemetry needs a repro.sim.parallel.WorkloadSpec "
+        f"a resilient ExecutionPolicy (worker processes, retries, "
+        f"timeouts, checkpointing or fault injection) or execution "
+        f"telemetry needs a repro.sim.parallel.WorkloadSpec "
         f"(registry name + scale) so jobs can be re-run and shipped to "
         f"worker processes; got {type(source).__name__}"
     )
@@ -230,10 +230,6 @@ class _SipPlanCache:
         return plan
 
 
-def _needs_sip(schemes: Sequence[str]) -> bool:
-    return any(name in SIP_SCHEMES for name in schemes)
-
-
 def compare_schemes(
     workload: WorkloadSource,
     config: SimConfig,
@@ -241,76 +237,26 @@ def compare_schemes(
     *,
     seed: int = 0,
     input_set: str = "ref",
-    sip_plan: Optional[SipPlan] = None,
     policy: Optional[ExecutionPolicy] = None,
     telemetry: Optional[ExecTelemetry] = None,
 ) -> Dict[str, RunResult]:
     """Run the workload under each scheme; return results by name.
 
-    A single SIP plan is compiled once (from the train input) and
-    shared across the SIP-bearing schemes, exactly as one compiled
-    binary serves all the paper's runs; schemes without SIP never
-    touch the profiler.  The workload trace is materialized once and
-    replayed per scheme; a :class:`~repro.sim.parallel.WorkloadSpec`'s
-    trace is also kept in the process-wide cache for later calls.
-
-    ``policy`` (:class:`~repro.robust.ExecutionPolicy`) is the single
-    execution-configuration path: when it asks for anything beyond
-    plain serial execution — worker processes, retries, timeouts,
-    checkpointing, fault injection — the schemes route through the
-    resilient job runner (``workload`` must then be a
-    :class:`~repro.sim.parallel.WorkloadSpec`); results are identical
-    to the serial path.
-
-    ``telemetry`` (an :class:`~repro.obs.exec_telemetry.ExecTelemetry`)
-    makes the comparison an observed one: execution routes through the
-    runner even under the default serial policy, the runner narrates
-    its schedule into the collector, and — when the collector's config
-    enables it — each scheme's run ships its metric/trace dumps back
-    for deterministic merging.  Results are unchanged (passivity).
+    The one-point case of :func:`sweep_config`, which documents
+    ``policy`` and ``telemetry``: one SIP plan serves the SIP-bearing
+    schemes, the trace is materialized once and replayed per scheme,
+    and results are identical on every execution path.
     """
-    resolved = policy if policy is not None else ExecutionPolicy()
-    if resolved.is_resilient or telemetry is not None:
-        spec = _require_spec(workload, "compare_schemes")
-        if _needs_sip(schemes) and sip_plan is None:
-            built = spec.build()
-            sip_plan = _SipPlanCache().plan_for(built, config, seed)
-        specs = [
-            JobSpec(
-                workload=spec,
-                config=config,
-                scheme=name,
-                seed=seed,
-                input_set=input_set,
-                sip_plan=sip_plan if name in SIP_SCHEMES else None,
-            )
-            for name in schemes
-        ]
-        runs = run_jobs(specs, policy=resolved, telemetry=telemetry)
-        return dict(zip(schemes, runs))
-
-    built = _build_workload(workload)
-    if _needs_sip(schemes) and sip_plan is None:
-        sip_plan = _SipPlanCache().plan_for(built, config, seed)
-    # Only registry traces go to the shared cache: its key cannot tell
-    # two live workloads with one name and footprint apart.
-    trace = (
-        shared_trace_cache().get(built, seed=seed, input_set=input_set)
-        if isinstance(workload, WorkloadSpec)
-        else materialize(built, seed=seed, input_set=input_set)
+    (point,) = sweep_config(
+        workload,
+        [config],
+        schemes,
+        seed=seed,
+        input_set=input_set,
+        policy=policy,
+        telemetry=telemetry,
     )
-    results: Dict[str, RunResult] = {}
-    for name in schemes:
-        results[name] = simulate(
-            built,
-            config,
-            name,
-            seed=seed,
-            input_set=input_set,
-            sip_plan=sip_plan if name in SIP_SCHEMES else None,
-            trace=trace,
-        )
-    return results
+    return point.results
 
 
 def sweep_config(
@@ -325,7 +271,7 @@ def sweep_config(
     policy: Optional[ExecutionPolicy] = None,
     telemetry: Optional[ExecTelemetry] = None,
 ) -> List[SweepPoint]:
-    """Run a scheme comparison at each configuration.
+    """Run every scheme at each configuration: the one experiment driver.
 
     ``values`` labels the sweep points (defaults to their index).  The
     workload is rebuilt per point via ``workload_factory`` so traces
@@ -357,6 +303,9 @@ def sweep_config(
     even under the default serial policy and the collector accumulates
     execution spans, tallies, and (when its config enables it) each
     job's shipped metric/trace dumps.  Results are unchanged.
+
+    Otherwise each point runs in-process: the workload is built, its
+    trace materialized once, and every scheme replays it.
     """
     resolved = policy if policy is not None else ExecutionPolicy()
     config_list = list(configs)
@@ -368,7 +317,7 @@ def sweep_config(
         raise ConfigError(
             f"{len(config_list)} configs but {len(labels)} labels"
         )
-    needs_sip = _needs_sip(schemes)
+    needs_sip = any(name in SIP_SCHEMES for name in schemes)
     plan_cache = _SipPlanCache() if needs_sip else None
     total = len(config_list)
     started = time.monotonic()
@@ -379,7 +328,7 @@ def sweep_config(
         return plan_cache.plan_for(workload, config, seed)
 
     if resolved.is_resilient or telemetry is not None:
-        spec = _require_spec(workload_factory, "sweep_config")
+        spec = _require_spec(workload_factory)
         # Health counts ride the progress ticks even when the caller
         # did not ask for telemetry: a private collector costs nothing
         # and keeps the progress line honest about retries/faults.
@@ -391,7 +340,7 @@ def sweep_config(
         plan_probe = spec.build() if needs_sip else None
         specs: List[JobSpec] = []
         for config in config_list:
-            plan = point_plan(plan_probe, config) if plan_probe is not None else None
+            plan = point_plan(plan_probe, config)
             for name in schemes:
                 specs.append(
                     JobSpec(
@@ -447,16 +396,26 @@ def sweep_config(
     points = []
     for label, config in zip(labels, config_list):
         workload = _build_workload(workload_factory)
-        # A spec is passed on as a spec, so its trace stays cached
-        # across the points.
-        results = compare_schemes(
-            workload_factory if isinstance(workload_factory, WorkloadSpec) else workload,
-            config,
-            schemes,
-            seed=seed,
-            input_set=input_set,
-            sip_plan=point_plan(workload, config),
+        plan = point_plan(workload, config)
+        # Only registry traces go to the shared cache: its key cannot tell
+        # two live workloads with one name and footprint apart.
+        trace = (
+            shared_trace_cache().get(workload, seed=seed, input_set=input_set)
+            if isinstance(workload_factory, WorkloadSpec)
+            else materialize(workload, seed=seed, input_set=input_set)
         )
+        results = {
+            name: simulate(
+                workload,
+                config,
+                name,
+                seed=seed,
+                input_set=input_set,
+                sip_plan=plan if name in SIP_SCHEMES else None,
+                trace=trace,
+            )
+            for name in schemes
+        }
         points.append(SweepPoint(label, results))
         if progress is not None:
             progress(

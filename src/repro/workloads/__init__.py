@@ -22,7 +22,6 @@ from repro.workloads.base import Access, Workload, SyntheticWorkload
 from repro.workloads.requests import (
     RequestProfile,
     memcached_profile,
-    nginx_profile,
     request_gaps,
 )
 from repro.workloads.registry import (
@@ -46,6 +45,5 @@ __all__ = [
     "build_workload",
     "RequestProfile",
     "memcached_profile",
-    "nginx_profile",
     "request_gaps",
 ]

@@ -35,7 +35,6 @@ from repro.workloads.synthetic import phase_rng
 __all__ = [
     "RequestProfile",
     "memcached_profile",
-    "nginx_profile",
     "request_gaps",
 ]
 
@@ -94,17 +93,6 @@ def memcached_profile(
     """Memcached-style profile: Poisson arrivals, small requests."""
     return RequestProfile(
         kind="poisson",
-        mean_gap_cycles=mean_gap_cycles,
-        events_per_request=events_per_request,
-    )
-
-
-def nginx_profile(
-    mean_gap_cycles: int = 500_000, *, events_per_request: int = 128
-) -> RequestProfile:
-    """Nginx-style profile: bounded-jitter arrivals, larger requests."""
-    return RequestProfile(
-        kind="uniform",
         mean_gap_cycles=mean_gap_cycles,
         events_per_request=events_per_request,
     )

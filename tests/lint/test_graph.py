@@ -116,11 +116,6 @@ class TestProgramGraph:
         graph = self._graph(tmp_path)
         assert "Box.get" in graph.modules["pkg.core"].functions
 
-    def test_import_and_call_edges(self, tmp_path):
-        graph = self._graph(tmp_path)
-        assert "pkg.core" in graph.import_edges()["pkg.uses"]
-        assert graph.call_edges()["pkg.uses.caller"] == {"pkg.core.helper"}
-
     def test_unparsable_file_is_skipped_not_fatal(self, tmp_path):
         target = tmp_path / "bad.py"
         target.write_text("def (:\n", encoding="utf-8")

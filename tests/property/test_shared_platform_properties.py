@@ -9,9 +9,15 @@ plan and a non-empty trace (profiling an empty trace raises
 ``WorkloadError`` by design).  Per-tenant preload counts are not
 checked: a non-DFP tenant on a shared platform reports the channel's
 preloads (``tests/sim/test_fleet.py::TestSharedPlatform``).
+
+Two properties watch the frame manager's calls: every landing stays
+within its tenant's quota, and a static partition with room for every
+admitted ELRANGE never evicts a live neighbour's page.
 """
 
 import json
+from contextlib import contextmanager
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,6 +25,7 @@ from hypothesis import strategies as st
 from repro.core.config import SimConfig
 from repro.core.instrumentation import SipPlan
 from repro.core.schemes import SCHEME_NAMES
+from repro.enclave.platform import FrameManager
 from repro.obs.fleet_telemetry import FleetTelemetry, validate_fleet_timeseries
 from repro.sim.fleet import EPC_POLICIES, FleetScenario, TenantSpec, simulate_fleet
 from repro.workloads.requests import RequestProfile
@@ -80,10 +87,10 @@ def tenants(draw, index):
 
 
 @st.composite
-def fleet_scenarios(draw):
+def fleet_scenarios(draw, policies=EPC_POLICIES):
     count = draw(st.integers(min_value=1, max_value=4))
     specs = tuple(draw(tenants(index)) for index in range(count))
-    policy = draw(st.sampled_from(EPC_POLICIES))
+    policy = draw(st.sampled_from(policies))
     max_admitted = draw(st.none() | st.integers(min_value=1, max_value=count))
     footprint = sum(spec.workload.footprint_pages for spec in specs)
     # A partitioned policy needs a frame per admitted tenant.
@@ -116,6 +123,73 @@ def fleet_scenarios(draw):
         ),
         min_quota_pages=draw(st.integers(min_value=1, max_value=8)),
     )
+
+
+@st.composite
+def churn_scenarios(draw):
+    """Static-partition fleets whose EPC holds every admitted ELRANGE.
+
+    An admission cap of one or two queues the tenants, and each tenant
+    touches every page of its footprint, so departed tenants' pages
+    fill the EPC and later tenants must evict: the footprints sum past
+    the EPC.
+    """
+    cap = draw(st.integers(min_value=1, max_value=2))
+    largest = draw(st.integers(min_value=8, max_value=40))
+    epc = cap * (largest + 64) + draw(st.integers(min_value=0, max_value=8))
+    specs = []
+    while sum(spec.workload.footprint_pages for spec in specs) <= epc:
+        index = len(specs)
+        scheme = draw(st.sampled_from(SCHEME_NAMES))
+        pages = largest if index == 0 else draw(
+            st.integers(min_value=largest // 2, max_value=largest)
+        )
+        order = list(range(pages))
+        draw(st.randoms(use_true_random=False)).shuffle(order)
+        compute = draw(st.integers(min_value=1, max_value=60_000))
+        trace = [(page % 2, page, compute) for page in order]
+        workload = ScriptedWorkload(
+            trace, name=f"w{index}", footprint_pages=pages, instructions=INSTRUCTIONS
+        )
+        plan = None
+        if scheme in ("sip", "hybrid"):
+            plan = SipPlan(workload=workload.name, threshold=0.05, instrumented=frozenset({0}))
+        specs.append(
+            TenantSpec(
+                workload=workload,
+                scheme=scheme,
+                arrival=draw(st.integers(min_value=0, max_value=300_000)),
+                sip_plan=plan,
+            )
+        )
+    return FleetScenario(
+        name="property-churn",
+        tenants=tuple(specs),
+        policy="static-partition",
+        epc_pages=epc,
+        seed=draw(st.integers(min_value=0, max_value=3)),
+        config=SimConfig(
+            load_length=draw(st.integers(min_value=1, max_value=4)),
+            scan_period_cycles=draw(st.integers(min_value=50_000, max_value=400_000)),
+            sanitize=True,
+        ),
+        max_admitted=cap,
+        spinup_pages=draw(st.integers(min_value=0, max_value=6)),
+    )
+
+
+@contextmanager
+def after_each(method, check):
+    """Run ``check(frames, *args, result)`` after every ``FrameManager.<method>`` call."""
+    original = getattr(FrameManager, method)
+
+    def checked(frames, *args):
+        result = original(frames, *args)
+        check(frames, *args, result)
+        return result
+
+    with mock.patch.object(FrameManager, method, checked):
+        yield
 
 
 def canonical(manifest):
@@ -190,6 +264,39 @@ def test_observed_fleet_is_sanitizer_clean_reconciled_and_passive(scenario):
     )
     stripped = {k: v for k, v in observed.items() if k != "fleet_timeseries"}
     assert canonical(stripped) == canonical(blind)
+
+
+@given(fleet_scenarios(policies=("static-partition", "adaptive-quota")))
+@settings(max_examples=60, deadline=None)
+def test_landings_stay_within_quota(scenario):
+    """After every landing of a tenant's page, the tenant holds at most
+    its quota, or one page when its quota is zero: a tenant at quota
+    zero with nothing resident may insert one page."""
+
+    def within_quota(frames, driver, page, _result):
+        state = frames.tenant(driver)
+        assert state.resident <= max(state.quota, 1), (page, state.resident, state.quota)
+
+    with after_each("note_insert", within_quota):
+        simulate_fleet(scenario)
+
+
+@given(churn_scenarios())
+@settings(max_examples=40, deadline=None)
+def test_static_partition_spares_live_tenants_when_every_elrange_fits(scenario):
+    """With room for every admitted tenant's whole ELRANGE, a static
+    partition evicts only departed tenants' pages or the loader's own;
+    the generated churn always fills the EPC, so victims are taken."""
+    victims = []
+
+    def spares_live_tenants(frames, driver, victim):
+        owner = driver.platform.owner_of(victim)
+        assert owner is driver or not frames.tenant(owner).active, victim
+        victims.append(victim)
+
+    with after_each("select_victim", spares_live_tenants):
+        simulate_fleet(scenario)
+    assert victims
 
 
 @given(events, events)

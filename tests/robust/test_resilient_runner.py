@@ -25,7 +25,7 @@ from repro.errors import (
     ResultIntegrityError,
 )
 from repro.obs.manifest import build_manifest
-from repro.robust import ExecutionPolicy, FaultKind, FaultPlan, RetryPolicy
+from repro.robust import ExecutionPolicy, FaultKind, FaultPlan, RetryPolicy, sleep
 from repro.sim.parallel import JobSpec, WorkloadSpec, run_jobs
 
 WORKLOAD = WorkloadSpec("microbenchmark", 64)
@@ -58,6 +58,36 @@ def manifest_bytes(results):
         json.dumps(build_manifest(r), sort_keys=True).encode()
         for r in results
     ]
+
+
+def _live_in_session(session):
+    """Pids of the session's processes that are not zombies.
+
+    Zombies are skipped: an init process that never reaps its adopted
+    children would otherwise keep exited workers listed.
+    """
+    pids = []
+    for entry in sorted(os.listdir("/proc")):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat") as stat:
+                fields = stat.read().rsplit(")", 1)[1].split()
+        except OSError:
+            continue
+        if int(fields[3]) == session and fields[0] != "Z":
+            pids.append(int(entry))
+    return pids
+
+
+def _wait_for(condition, timeout=10.0, poll=0.1):
+    """Whether ``condition()`` holds within ``timeout`` seconds."""
+    deadline = time.monotonic() + timeout
+    while not condition():
+        if time.monotonic() >= deadline:
+            return False
+        sleep(poll)
+    return True
 
 
 class TestNoFaultEquivalence:
@@ -171,6 +201,45 @@ class TestHangFaults:
         ]
         reference = [build_manifest(r) for r in run_jobs(specs)]
         assert stdout.strip() == json.dumps(reference, sort_keys=True)
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="reads /proc")
+    def test_workers_exit_when_their_runner_is_killed(self):
+        # A runner killed by a signal never shuts its pool down; its
+        # workers, idle or in a 20 s hang, must still exit soon after
+        # it instead of living on.
+        script = textwrap.dedent(
+            """
+            from repro.core.config import SimConfig
+            from repro.robust import ExecutionPolicy, FaultKind, FaultPlan
+            from repro.sim.parallel import JobSpec, WorkloadSpec, run_jobs
+
+            specs = [
+                JobSpec(WorkloadSpec("microbenchmark", 64), SimConfig.scaled(64), scheme)
+                for scheme in ("baseline", "dfp-stop")
+            ]
+            plan = FaultPlan.script(
+                {(0, 1): FaultKind.HANG, (1, 1): FaultKind.HANG}, hang_s=20.0
+            )
+            run_jobs(specs, policy=ExecutionPolicy(jobs=2, timeout=60.0, fault_plan=plan))
+            """
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parent.parent))
+        runner = subprocess.Popen(
+            [sys.executable, "-c", script], env=env, start_new_session=True
+        )
+        try:
+            assert _wait_for(lambda: len(_live_in_session(runner.pid)) == 3)
+            runner.kill()
+            runner.wait(timeout=10)
+            assert _wait_for(lambda: not _live_in_session(runner.pid)), (
+                _live_in_session(runner.pid)
+            )
+        finally:
+            try:
+                os.killpg(runner.pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            runner.wait(timeout=10)
 
     def test_queued_jobs_do_not_expire_while_waiting_for_a_worker(self):
         # The timeout is a budget on the attempt, not on queue wait:

@@ -20,7 +20,6 @@ from repro import (
     build_workload,
     compare_schemes,
     improvement_pct,
-    prepare_sip_plan,
 )
 
 # Paper-reported improvements (positive = faster than baseline).
@@ -103,17 +102,15 @@ def main() -> None:
         wl = build_workload(name, scale=scale)
         sip_ok = name in CPP_BENCHMARKS or name == "mixed-blood"
         schemes = ["baseline", "dfp", "dfp-stop"]
-        plan = None
         if sip_ok:
-            plan = prepare_sip_plan(wl, config)
             schemes += ["sip", "hybrid"]
-        runs = compare_schemes(wl, config, schemes, sip_plan=plan)
+        runs = compare_schemes(wl, config, schemes)
         base = runs["baseline"]
         dfp = improvement_pct(runs["dfp"], base)
         stop = improvement_pct(runs["dfp-stop"], base)
         sip = improvement_pct(runs["sip"], base) if sip_ok else float("nan")
         hyb = improvement_pct(runs["hybrid"], base) if sip_ok else float("nan")
-        pts = plan.instrumentation_points if plan else 0
+        pts = runs["sip"].sip_points if sip_ok else 0
         fault_share = base.stats.time.overhead / base.total_cycles * 100
         print(
             f"{name:<15} {base.stats.accesses:>9,} {fault_share:>6.1f}% "

@@ -11,9 +11,9 @@ The CI-facing end-to-end proof of the resilience layer
    timeout, a corrupted result, a transient submission error) with a
    retry budget; it must survive every injected fault and reproduce
    the reference manifests byte for byte.
-3. **Kill** — the sweep again, checkpointing to disk, with a scripted
-   crash and no retry budget: it must die partway, leaving a partial
-   checkpoint directory.
+3. **Kill** — the sweep again, checkpointing into an emptied
+   directory, with a scripted crash and no retry budget: it must die
+   partway, leaving a partial checkpoint directory.
 4. **Resume** — ``repro sweep --checkpoint DIR --resume`` (through the
    real CLI) finishes the job; every checkpoint record must then be
    byte-identical to a manifest of the reference run.
@@ -37,6 +37,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import shutil
 import sys
 from pathlib import Path
 
@@ -146,6 +147,8 @@ def main(argv=None):
     )
 
     # Phase 3: kill the checkpointed sweep partway (no retry budget).
+    # Records an earlier run left would survive any kill, so start empty.
+    shutil.rmtree(ckpt, ignore_errors=True)
     kill_policy = ExecutionPolicy(
         checkpoint_dir=ckpt,
         fault_plan=FaultPlan.script({(4, 1): FaultKind.CRASH}),
