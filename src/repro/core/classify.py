@@ -50,6 +50,11 @@ class AccessClass(enum.Enum):
     CLASS3 = 3
 
 
+# Returned once per profiled access: through the class, an enum member
+# costs a descriptor call on Python 3.11; a module global does not.
+_CLASS1, _CLASS2, _CLASS3 = AccessClass.CLASS1, AccessClass.CLASS2, AccessClass.CLASS3
+
+
 class StreamClassifier:
     """Streaming classifier over a page-access trace.
 
@@ -87,13 +92,13 @@ class StreamClassifier:
             recent.move_to_end(page)
             if predictor.extends(page):
                 predictor.on_fault(page)
-            return AccessClass.CLASS1
+            return _CLASS1
         recent[page] = None
         if len(recent) > self._window:
             recent.popitem(last=False)
         if predictor.on_fault(page):
-            return AccessClass.CLASS2
-        return AccessClass.CLASS3
+            return _CLASS2
+        return _CLASS3
 
     def classify_trace(self, pages: "list[int]") -> Dict[AccessClass, int]:
         """Classify a whole trace; return per-class counts."""

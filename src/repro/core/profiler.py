@@ -27,6 +27,9 @@ from repro.workloads.base import Workload
 
 __all__ = ["InstructionProfile", "WorkloadProfile", "profile_workload"]
 
+# Compared once per profiled access; see classify.py.
+_CLASS1, _CLASS2 = AccessClass.CLASS1, AccessClass.CLASS2
+
 
 @dataclass
 class InstructionProfile:
@@ -51,9 +54,9 @@ class InstructionProfile:
 
     def add(self, cls: AccessClass) -> None:
         """Record one classified access."""
-        if cls is AccessClass.CLASS1:
+        if cls is _CLASS1:
             self.class1 += 1
-        elif cls is AccessClass.CLASS2:
+        elif cls is _CLASS2:
             self.class2 += 1
         else:
             self.class3 += 1
@@ -133,6 +136,7 @@ def profile_workload(
     for instr_id, name in workload.instructions.items():
         instructions[instr_id] = InstructionProfile(instruction=instr_id, name=name)
 
+    classify = classifier.classify
     stride: Optional[int] = None
     index = 0
     for instr, page, _cycles in workload.trace(seed=seed, input_set=input_set):
@@ -141,7 +145,7 @@ def profile_workload(
             raise WorkloadError(
                 f"workload {workload.name!r} emitted unknown instruction {instr}"
             )
-        prof.add(classifier.classify(page))
+        prof.add(classify(page))
         if sample_patterns:
             if stride is None:
                 # One pass to learn the length is wasteful; instead

@@ -154,7 +154,7 @@ class SyntheticWorkload(Workload):
         for phase in self._phases:
             for event in phase(seed, input_set):
                 instr, page, _cycles = event
-                if page >= footprint or page < 0:
+                if not 0 <= page < footprint:
                     raise WorkloadError(
                         f"workload {self._name!r} touched page {page} outside "
                         f"its declared footprint of {footprint} pages"

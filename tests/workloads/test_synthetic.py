@@ -1,6 +1,10 @@
 """Unit tests for the synthetic pattern generators."""
 
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import WorkloadError
 from repro.workloads import synthetic as syn
@@ -8,6 +12,24 @@ from repro.workloads import synthetic as syn
 
 def run(phase, seed=0, input_set="ref"):
     return list(phase(seed, input_set))
+
+
+class TestDraws:
+    @given(
+        seed=st.integers(min_value=0, max_value=2**64),
+        low=st.integers(min_value=-(2**40), max_value=2**40),
+        width=st.integers(min_value=1, max_value=2**40),
+        count=st.integers(min_value=1, max_value=40),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_draws_equal_randrange(self, seed, low, width, count):
+        """Each ``next()`` consumes the RNG as ``randrange`` would."""
+        ours, reference = random.Random(seed), random.Random(seed)
+        draws = syn._draws(ours, low, width)
+        assert [next(draws) for _ in range(count)] == [
+            reference.randrange(low, low + width) for _ in range(count)
+        ]
+        assert ours.getstate() == reference.getstate()
 
 
 class TestSequential:
@@ -92,6 +114,13 @@ class TestUniformRandom:
     def test_stays_in_region(self):
         phase = syn.uniform_random([0], 100, 200, 500, compute=10)
         assert all(100 <= p < 200 for _i, p, _c in run(phase))
+
+    @pytest.mark.parametrize("generator", [syn.uniform_random, syn.zipf_random])
+    @pytest.mark.parametrize("run_length", [(1, 1), (2, 2), (5, 5), (3, 7)])
+    def test_runs_wrap_inside_region(self, generator, run_length):
+        """A run longer than its region wraps, and stays inside it."""
+        phase = generator([0], 10, 12, 40, compute=1, run_length=run_length)
+        assert {p for _i, p, _c in run(phase)} <= {10, 11}
 
     def test_exact_count(self):
         phase = syn.uniform_random([0], 0, 100, 123, compute=10)
